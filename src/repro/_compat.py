@@ -1,9 +1,9 @@
 """Optional-dependency shims (NumPy and matplotlib).
 
-NumPy powers the vectorised kernels and the dataset generators but is an
+NumPy powers the dataset generators and the analysis code but is an
 optional ``[perf]`` extra, not a hard dependency: the simulator, the runtime
-and the harness all work without it (the NoC falls back to the pure-Python
-kernel automatically).  Modules that can degrade import ``np``/``HAVE_NUMPY``
+and the harness all work without it (no NoC kernel uses NumPy).  Modules
+that can degrade import ``np``/``HAVE_NUMPY``
 from here; modules that fundamentally need NumPy (dataset generation, figure
 rendering) call :func:`require_numpy` at entry so the failure is a clear,
 actionable error instead of an import-time crash.

@@ -5,9 +5,8 @@ install time by ``setup.py`` (``Extension(..., optional=True)``): when no C
 compiler is available the build step is skipped with a warning, the import
 below fails, and :data:`HAVE_NATIVE` stays ``False`` — kernel resolution
 (:func:`repro.arch.kernels.resolve_kernel`) then falls back to the
-pure-Python sweep.  This is the same graceful-degradation pattern as the
-numpy ``[perf]`` extra (:mod:`repro._compat`): the kernel is a speed knob
-only, never a correctness or identity dependency.
+pure-Python sweep.  The kernel is a speed knob only, never a correctness
+or identity dependency.
 
 For an in-place development build (after which ``HAVE_NATIVE`` is True on
 the next interpreter start)::

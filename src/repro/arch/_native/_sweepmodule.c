@@ -6,9 +6,10 @@
  * tests, snapshot state hashes, fuzz oracle and CI store cmp all pin this):
  *
  *   advance_links     -- one cycle of the cycle-accurate NoC link sweep
- *                        (NativeCycleAccurateNoC.advance), mirroring
- *                        NumpyCycleAccurateNoC._advance_vscalar over the
- *                        flat array('q') slot buffers: pop each active
+ *                        (NativeCycleAccurateNoC.advance): the schedule of
+ *                        CycleAccurateNoC.advance, held to it by the
+ *                        native-kernel and NoC equivalence tests, run over
+ *                        the flat array('q') slot buffers: pop each active
  *                        link's head, follow the sentinel-terminated route
  *                        pool one hop, relink the intrusive per-link FIFOs,
  *                        stamp-dedupe next-cycle activations, deliver at

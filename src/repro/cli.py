@@ -74,7 +74,7 @@ from typing import List, Optional
 from repro.analysis.experiments import run_ingestion_bfs_pair, run_streaming_experiment
 from repro.analysis.figures import activation_figure, increment_figure, render_ascii_plot
 from repro.analysis.tables import render_table, table1_rows, table2_rows
-from repro.arch.config import ChipConfig
+from repro.arch.config import KERNELS, ChipConfig
 from repro.datasets.streaming import (
     SCALE_PRESETS,
     make_streaming_dataset,
@@ -575,7 +575,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "Reps": len(r.sim_wall_s),
         }
         for r in results
-    ]))
+    ], max_width=48))
     payload = bench_payload(results, tag=args.tag, suite=args.suite,
                             reps=args.reps, kernel=args.kernel)
     if args.json:
@@ -614,10 +614,9 @@ def _bench_ab(args: argparse.Namespace, scenarios) -> int:
               "is its own comparison)", file=sys.stderr)
         return 2
     kernels = [k.strip() for k in args.ab.split(",") if k.strip()]
-    valid = ("python", "numpy", "native")
-    bad = [k for k in kernels if k not in valid]
+    bad = [k for k in kernels if k not in KERNELS]
     if bad or len(kernels) < 2:
-        print(f"--ab needs >= 2 comma-separated kernels out of {valid}, "
+        print(f"--ab needs >= 2 comma-separated kernels out of {KERNELS}, "
               f"got {args.ab!r}", file=sys.stderr)
         return 2
     if "native" in kernels:
@@ -627,13 +626,6 @@ def _bench_ab(args: argparse.Namespace, scenarios) -> int:
             print("--ab includes 'native' but the extension is not built; "
                   "an A/B against the silent python fallback would be "
                   "dishonest (pip install -e '.[native]' builds it)",
-                  file=sys.stderr)
-            return 2
-    if "numpy" in kernels:
-        from repro.arch.kernels import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            print("--ab includes 'numpy' but numpy is not installed",
                   file=sys.stderr)
             return 2
 
@@ -656,7 +648,7 @@ def _bench_ab(args: argparse.Namespace, scenarios) -> int:
                 f"{results[kernel][i].median_cycles_per_sec / results[base][i].median_cycles_per_sec:.2f}x")
         rows.append(row)
     print()
-    print(render_table(rows))
+    print(render_table(rows, max_width=48))
     if args.json:
         payload = ab_payload(results, tag=args.tag, suite=args.suite,
                              reps=args.reps)
@@ -932,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--expect-cached", action="store_true",
                        help="fail (exit 1) if any scenario would be computed "
                             "instead of served from the store")
-    p_run.add_argument("--kernel", choices=("auto", "python", "numpy", "native"),
+    p_run.add_argument("--kernel", choices=KERNELS,
                        default=None,
                        help="pin the NoC kernel for every scenario (speed "
                             "knob only: schedules and cache keys are "
@@ -1007,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="capture after the K-th streamed increment")
     p_snap_save.add_argument("--out", required=True, metavar="PATH",
                              help="snapshot file to write")
-    p_snap_save.add_argument("--kernel", choices=("auto", "python", "numpy", "native"),
+    p_snap_save.add_argument("--kernel", choices=KERNELS,
                              default=None, help="NoC kernel pin (speed only)")
     p_snap_save.set_defaults(func=cmd_snapshot_save)
     p_snap_info = snap_sub.add_parser(
@@ -1030,7 +1022,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="write the resumed record into this "
                                      "JSONL result store")
     p_snap_restore.add_argument("--kernel",
-                                choices=("auto", "python", "numpy", "native"),
+                                choices=KERNELS,
                                 default=None,
                                 help="NoC kernel pin (speed only)")
     p_snap_restore.set_defaults(func=cmd_snapshot_restore)
@@ -1072,16 +1064,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compare against this bench JSON; exit 1 on regression")
     p_bench.add_argument("--tolerance", type=float, default=0.25,
                          help="tolerated relative cycles/sec drop (default 0.25)")
-    p_bench.add_argument("--kernel", choices=("auto", "python", "numpy", "native"),
+    p_bench.add_argument("--kernel", choices=KERNELS,
                          default=None,
                          help="pin the NoC kernel for every workload "
                               "(cycle counts are kernel-independent, so the "
                               "delta is pure implementation speed)")
-    p_bench.add_argument("--ab", default=None, metavar="K1,K2[,K3]",
+    p_bench.add_argument("--ab", default=None, metavar="K1,K2",
                          help="interleaved kernel A/B: bench every workload "
                               "under each listed kernel back to back in one "
                               "process and report per-kernel medians plus "
-                              "speedups vs the first (e.g. python,native); "
+                              "speedups vs the first (e.g. python,native, or python,auto for this install's default); "
                               "also live-checks that all kernels report "
                               "identical cycle counts")
     p_bench.add_argument("--update-baseline", default=None, metavar="PATH",
@@ -1181,7 +1173,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="increments per execution span — the "
                               "progress/pause granularity (default: 1)")
     p_serve.add_argument("--kernel",
-                         choices=("auto", "python", "numpy", "native"),
+                         choices=KERNELS,
                          default=None,
                          help="default NoC kernel pin for submitted jobs "
                               "(identity-free; per-job POST field overrides)")

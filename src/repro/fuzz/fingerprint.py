@@ -3,11 +3,9 @@
 A *fingerprint* is a small deterministic summary of a run's dynamic
 behaviour — activation density, in-flight message distribution, idle
 time — and a *classification* turns it into a regime label plus a kernel
-routing recommendation.  The storm threshold is the measured ~800
-active-link crossover where the vectorised sweep overtakes the scalar one
-(:data:`repro.arch.kernels.VECTOR_SWEEP_MIN`), so the classifier answers
-the question the native-kernel tier will keep asking: *which kernel should
-this workload run on?*
+routing recommendation, answering *which kernel should this workload run
+on?*  A storm (at least :data:`STORM_THRESHOLD` messages in flight on some
+cycle) is NoC-sweep-bound, so it is routed to the compiled native sweep.
 
 Two extraction paths exist:
 
@@ -29,11 +27,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional
 
-from repro.arch.kernels import VECTOR_SWEEP_MIN
-
 #: Classification version, embedded in every classification so stored
 #: labels can be invalidated if the rules change.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
+
+#: In-flight message count at which a cycle counts as a storm.  The value
+#: is the one classification version 1 used (just under the ~800-link load
+#: where a vectorised sweep overtook the per-link loop), so version 2 moves
+#: only the storm's kernel recommendation, not which runs are storms.
+STORM_THRESHOLD = 768
 
 #: The regimes :func:`classify` can emit, from coldest to hottest.
 REGIMES = ("parked", "sparse-diffusion", "dense-diffusion", "storm")
@@ -41,7 +43,7 @@ REGIMES = ("parked", "sparse-diffusion", "dense-diffusion", "storm")
 
 def fingerprint_stats(stats, threshold: Optional[int] = None) -> Dict[str, Any]:
     """Exact fingerprint from live :class:`~repro.arch.stats.SimStats`."""
-    threshold = VECTOR_SWEEP_MIN if threshold is None else threshold
+    threshold = STORM_THRESHOLD if threshold is None else threshold
     out = stats.fingerprint_summary(threshold)
     out["storm_threshold"] = threshold
     out["exact"] = True
@@ -82,7 +84,7 @@ def fingerprint_record(record: Dict[str, Any],
     metric gauges); idle and storm fractions come from the power-of-two
     per-cycle histograms, so they are bucket-resolution estimates.
     """
-    threshold = VECTOR_SWEEP_MIN if threshold is None else threshold
+    threshold = STORM_THRESHOLD if threshold is None else threshold
     metrics = record["metrics"]
     stats = record["stats"]
     cycles = stats["cycles"]
@@ -133,8 +135,8 @@ def classify(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
 
     Rules, first match wins:
 
-    * **storm** — some cycle's in-flight load reached the vector
-      threshold; the vectorised kernel pays off.
+    * **storm** — some cycle's in-flight load reached
+      :data:`STORM_THRESHOLD`; the compiled native sweep pays off.
     * **parked** — the chip idles half the run and almost never lights up:
       cycle-skipping does the heavy lifting, scalar kernel suffices.
     * **dense-diffusion** — a quarter of the cells active on an average
@@ -155,7 +157,7 @@ def classify(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "version": FINGERPRINT_VERSION,
         "regime": regime,
-        "kernel_recommendation": "numpy" if regime == "storm" else "python",
+        "kernel_recommendation": "native" if regime == "storm" else "python",
         "storm_headroom": (peak / threshold) if threshold else 0.0,
     }
 

@@ -283,6 +283,11 @@ def make_server(service: ScenarioService) -> ThreadingHTTPServer:
     return server
 
 
+#: How often ``serve_forever`` checks for a shutdown request (seconds).
+#: The stdlib default of 0.5 s makes every ``shutdown()`` wait that long.
+POLL_INTERVAL_S = 0.05
+
+
 def serve_forever(config: ServeConfig) -> None:
     """``repro serve`` entry point: run until interrupted."""
     service = ScenarioService(config)
@@ -293,7 +298,7 @@ def serve_forever(config: ServeConfig) -> None:
           f"(jobs={config.jobs}, queue-depth={config.queue_depth}, "
           f"store={config.store})", flush=True)
     try:
-        server.serve_forever()
+        server.serve_forever(poll_interval=POLL_INTERVAL_S)
     except KeyboardInterrupt:
         print("shutting down", flush=True)
     finally:

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from repro.arch.config import KERNELS
 from repro.harness.pool import DispatchPool
 from repro.harness.runner import (
     _merge_shard_parts,
@@ -139,10 +140,12 @@ class ScenarioService:
         """Admit one Scenario spec; returns ``(job, http_status)``.
 
         ``payload`` is either a raw ``Scenario.spec_dict`` or an envelope
-        ``{"scenario": spec, "kernel": name}``.  Invalid specs raise
-        ``ValueError`` (the app maps it to 400).  Statuses: 200 for an
-        existing job or a cache hit, 201 for a newly admitted job, 429
-        when the admission window is full (no job is created).
+        ``{"scenario": spec, "kernel": name}``.  Invalid specs and kernel
+        names outside :data:`~repro.arch.config.KERNELS` raise
+        ``ValueError`` (the app maps it to 400; no job is created).
+        Statuses: 200 for an existing job or a cache hit, 201 for a newly
+        admitted job, 429 when the admission window is full (no job is
+        created).
         """
         if not isinstance(payload, dict):
             raise ValueError("job payload must be a JSON object")
@@ -151,6 +154,9 @@ class ScenarioService:
         if "scenario" in payload:
             spec = payload["scenario"]
             kernel = payload.get("kernel", kernel)
+            if kernel is not None and kernel not in KERNELS:
+                raise ValueError(
+                    f"unknown kernel {kernel!r}: expected one of {KERNELS}")
         try:
             scenario = Scenario.from_dict(spec)
         except (KeyError, TypeError) as exc:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro._compat import HAVE_NUMPY
+from repro.arch._native import HAVE_NATIVE
 from repro.arch.config import ChipConfig
 from repro.algorithms.bfs import StreamingBFS
 from repro.graph.graph import DynamicGraph
@@ -28,6 +29,14 @@ from repro.runtime.device import AMCCADevice
 #: CI job executes everything that is not marked with this.
 requires_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="requires numpy (dataset generation / analysis)")
+
+#: Marker for tests that need the compiled native sweep extension.
+requires_native = pytest.mark.skipif(
+    not HAVE_NATIVE, reason="native sweep extension not built")
+
+#: The concrete NoC kernels this install runs: python, plus native where
+#: the extension is built.
+BUILT_KERNELS = ("python", "native") if HAVE_NATIVE else ("python",)
 
 #: Health checks every whole-stack property test suppresses: one example
 #: simulates a full chip, so hypothesis's per-example timing heuristics

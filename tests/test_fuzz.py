@@ -21,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import HYPOTHESIS_SUPPRESS, requires_numpy
-from repro._compat import HAVE_NUMPY
+from repro.arch._native import HAVE_NATIVE
+from repro.arch.config import KERNELS
 from repro.fuzz import (
+    FINGERPRINT_VERSION,
     INVARIANTS,
     REGIMES,
     check_invariants,
@@ -36,6 +38,7 @@ from repro.algorithms.registry import (
     symmetric_algorithm_names,
 )
 from repro.fuzz.campaign import FUZZ_PROFILES, run_campaign
+from repro.fuzz.fingerprint import STORM_THRESHOLD
 from repro.fuzz.strategies import scenarios
 from repro.harness.runner import run_scenario
 from repro.harness.scenario import (
@@ -82,7 +85,7 @@ def test_strategy_generates_valid_scenarios(scenario):
 @given(scenario=scenarios(numpy_ok=False))
 def test_strategy_numpy_free_space(scenario):
     assert scenario.dataset.generator == "uniform"
-    assert scenario.chip.kernel != "numpy"
+    assert scenario.chip.kernel in KERNELS
 
 
 def test_strategy_covers_newly_registered_algorithms():
@@ -133,7 +136,7 @@ def test_campaign_green_and_coverage_complete(tmp_path):
     assert result.examples == 4
     assert result.coverage_complete()
     assert not list(tmp_path.iterdir())  # no corpus entry when green
-    if not HAVE_NUMPY:
+    if not HAVE_NATIVE:
         assert result.counters["kernel_equivalence"]["skip"] == 4
 
 
@@ -174,8 +177,9 @@ def _clean_record(kernel):
 
 @requires_numpy
 def test_fingerprint_identical_across_kernels():
+    # The default kernel is native where the extension is built.
     assert (fingerprint_record(_clean_record("python"))
-            == fingerprint_record(_clean_record("numpy")))
+            == fingerprint_record(_clean_record(None)))
 
 
 def _fp(**overrides):
@@ -187,12 +191,18 @@ def _fp(**overrides):
 
 def test_classify_reaches_every_regime():
     assert classify(_fp(peak_in_flight=800))["regime"] == "storm"
-    assert classify(_fp(peak_in_flight=800))["kernel_recommendation"] == "numpy"
+    assert classify(_fp(peak_in_flight=800))["kernel_recommendation"] == "native"
     assert classify(_fp(idle_fraction=0.9,
                         mean_activation=0.01))["regime"] == "parked"
     assert classify(_fp(mean_activation=0.40))["regime"] == "dense-diffusion"
     assert classify(_fp())["regime"] == "sparse-diffusion"
     assert classify(_fp())["kernel_recommendation"] == "python"
+
+
+def test_storm_threshold_and_classification_version():
+    assert STORM_THRESHOLD == 768
+    assert FINGERPRINT_VERSION == 2
+    assert classify(_fp())["version"] == FINGERPRINT_VERSION
 
 
 def test_first_divergence_reports_deepest_first_path():

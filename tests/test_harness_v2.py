@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro import __version__
+from repro.arch._native import HAVE_NATIVE
 from repro.harness import (
     ChipSpec,
     DatasetSpec,
@@ -465,13 +466,9 @@ class TestBench:
 
 
 def _ab_kernels():
-    """Every schedule-identical kernel pair member available here."""
-    from repro.arch._native import HAVE_NATIVE
-
-    kernels = ["python", "numpy"]
-    if HAVE_NATIVE:
-        kernels.append("native")
-    return kernels
+    """Python against native where it is built, else against the default
+    kernel (``auto``, which then resolves to python as well)."""
+    return ["python", "native" if HAVE_NATIVE else "auto"]
 
 
 class TestBenchAb:
@@ -514,17 +511,21 @@ class TestBenchAb:
     def test_cli_bench_ab(self, tmp_path, capsys):
         from repro.cli import main
 
+        kernels = _ab_kernels()
         out_json = tmp_path / "BENCH_ab.json"
         assert main(["bench", "--suite", "tiny", "--reps", "1",
-                     "--ab", "python,numpy", "--json", str(out_json)]) == 0
+                     "--ab", ",".join(kernels), "--json", str(out_json)]) == 0
         out = capsys.readouterr().out
-        assert "numpy speedup" in out
+        assert f"{kernels[1]} speedup" in out
         assert json.loads(out_json.read_text())["schema"] == BENCH_AB_SCHEMA
 
     def test_cli_bench_ab_rejects_bad_flag_combinations(self, capsys):
         from repro.cli import main
 
         assert main(["bench", "--ab", "python",
+                     "--suite", "tiny"]) == 2
+        assert ">= 2 comma-separated kernels" in capsys.readouterr().err
+        assert main(["bench", "--ab", "python,numpy",
                      "--suite", "tiny"]) == 2
         assert ">= 2 comma-separated kernels" in capsys.readouterr().err
         assert main(["bench", "--ab", "python,native", "--suite", "tiny",
@@ -591,8 +592,10 @@ class TestCliIntegration:
         capsys.readouterr()
 
     @requires_numpy
-    def test_bench_command_writes_and_compares(self, tmp_path, capsys):
+    def test_bench_command_writes_and_compares(self, tmp_path, capsys,
+                                               monkeypatch):
         from repro.cli import main
+        from repro.harness import registry
 
         report = tmp_path / "BENCH_test.json"
         assert main(["bench", "--suite", "tiny", "--reps", "1",
@@ -606,3 +609,9 @@ class TestCliIntegration:
         assert main(["bench", "--suite", "tiny", "--reps", "1",
                      "--baseline", str(report), "--tolerance", "0.9"]) == 0
         capsys.readouterr()
+        # The table prints workload names in full, not cut at 14 chars.
+        long_name = "graphchallenge-50k-edge-ingest"
+        monkeypatch.setitem(registry._SUITES, "long-names", registry.SuiteDef(
+            "long-names", "", lambda: [tiny_scenario(long_name)]))
+        assert main(["bench", "--suite", "long-names", "--reps", "1"]) == 0
+        assert long_name in capsys.readouterr().out

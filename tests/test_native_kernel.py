@@ -21,7 +21,6 @@ import random
 import pytest
 
 from repro.arch import kernels
-from repro.arch._native import HAVE_NATIVE
 from repro.arch.config import ChipConfig
 from repro.arch.kernels import resolve_kernel
 from repro.arch.message import Message
@@ -31,11 +30,8 @@ from repro.arch.stats import SimStats
 from repro.harness.runner import run_scenario
 from repro.harness.scenario import ChipSpec, DatasetSpec, Scenario
 
+from helpers import requires_native
 from test_noc_equivalence import drain_schedule, normalize
-
-requires_native = pytest.mark.skipif(
-    not HAVE_NATIVE, reason="native sweep extension not built")
-
 
 def make_native_noc(width=8, height=8, routing="yx", per_link=False):
     cfg = ChipConfig(width=width, height=height, routing=routing,
@@ -86,7 +82,6 @@ class TestNativeFallback:
     def test_auto_without_native_or_numpy_is_python(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
         monkeypatch.setattr(kernels, "HAVE_NATIVE", False)
-        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
         assert resolve_kernel(ChipConfig(width=4, height=4)) == "python"
 
     def test_native_pin_never_part_of_identity(self):
@@ -214,7 +209,7 @@ class TestNativeRecords:
 
     def test_snapshot_roundtrip_state_hash(self, tmp_path):
         """Capture under native, restore under python (and back): the
-        state_hash is kernel-independent, like numpy leaving vector mode."""
+        state_hash is kernel-independent."""
         from dataclasses import replace
 
         from repro.snapshot import Snapshot, capture

@@ -109,7 +109,7 @@ class TestCycleAccurateNoC:
 
     def test_one_hop_per_cycle(self):
         # Incremental in-flight hop counting is python-kernel behaviour (the
-        # numpy kernel writes hops once at delivery; delivered messages are
+        # native kernel writes hops once at delivery; delivered messages are
         # identical either way).
         cfg, _, noc = make_noc("cycle", kernel="python")
         msg = Message(src=cfg.cc_at(0, 0), dst=cfg.cc_at(0, 5), action="a")

@@ -1,6 +1,6 @@
 """Pinning tests for the prepaid-hops truncation accounting.
 
-The fast cycle NoCs (python, numpy, native) and the latency model prepay a
+The fast cycle NoCs (python, native) and the latency model prepay a
 message's whole flit-hop charge at injection; the per-hop-accruing
 ``cycle-ref`` model is the executable spec of what was actually traversed.
 ``untraversed_hops()`` / ``SimStats.hops_untraversed`` turn the documented
@@ -14,8 +14,6 @@ at every cycle, with the remainder identically 0 at quiescence.
 
 import random
 
-import pytest
-
 from repro.arch.config import ChipConfig
 from repro.arch.message import Message
 from repro.arch.noc import (
@@ -28,16 +26,7 @@ from repro.arch.stats import SimStats
 from repro.harness import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.runner import run_scenario
 
-from helpers import requires_numpy
-
-try:
-    from repro.arch._native import _sweep as _native_sweep
-except ImportError:  # pragma: no cover - optional extension absent
-    _native_sweep = None
-
-requires_native = pytest.mark.skipif(
-    _native_sweep is None, reason="native sweep extension not built")
-
+from helpers import requires_native, requires_numpy
 
 def _build(model_cls, width=6, height=6, max_message_words=4):
     cfg = ChipConfig(width=width, height=height,
@@ -102,18 +91,6 @@ def test_cycle_noc_reconciles_with_reference():
     _fast_vs_ref(lambda: _build(CycleAccurateNoC))
 
 
-@requires_numpy
-def test_numpy_vector_mode_reconciles_with_reference():
-    from repro.arch.kernels import NumpyCycleAccurateNoC
-
-    def make():
-        noc = _build(NumpyCycleAccurateNoC)
-        noc._enter_at = 4  # force vector mode on tiny sweeps
-        return noc
-
-    _fast_vs_ref(make)
-
-
 @requires_native
 def test_native_kernel_reconciles_with_reference():
     from repro.arch.kernels import NativeCycleAccurateNoC
@@ -157,5 +134,6 @@ def test_record_exposes_untraversed_remainder():
 
 @requires_numpy
 def test_record_remainder_is_kernel_invariant():
+    # The default kernel is native where the extension is built.
     scenario = _trunc_scenario()
-    assert run_scenario(scenario, kernel="numpy") == run_scenario(scenario)
+    assert run_scenario(scenario, kernel="python") == run_scenario(scenario)

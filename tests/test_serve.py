@@ -26,6 +26,7 @@ from repro.harness.runner import run_scenario
 from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
 from repro.serve import FairQueue, Job, ScenarioService, ServeConfig, make_server
+from repro.serve.app import POLL_INTERVAL_S
 
 from helpers import requires_numpy
 
@@ -52,7 +53,8 @@ def server(tmp_path):
     service = ScenarioService(config)
     httpd = make_server(service)
     service.start()
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True,
+                              kwargs={"poll_interval": POLL_INTERVAL_S})
     thread.start()
     host, port = httpd.server_address[:2]
     yield service, f"http://{host}:{port}"
@@ -128,16 +130,16 @@ class TestHTTPByteIdentity:
 
     @requires_numpy
     def test_record_over_http_matches_direct_run_numpy_kernel(self, server):
-        """Kernel pinning is identity-free: a numpy-kernel job produces
-        the same id and byte-identical record as the python kernel."""
+        """Kernel pinning is identity-free: a python-pinned job produces
+        the same id and byte-identical record as the default kernel."""
         service, base = server
-        scenario = tiny_scenario("via-http-np")
+        scenario = tiny_scenario("via-http-pinned")
         code, body = request(
             base, "POST", "/v1/jobs",
-            {"scenario": scenario.spec_dict(), "kernel": "numpy"})
+            {"scenario": scenario.spec_dict(), "kernel": "python"})
         assert code == 201
         job = json.loads(body)
-        assert job["kernel"] == "numpy"
+        assert job["kernel"] == "python"
         assert job["id"] == scenario.spec_hash()
         final = wait_state(base, job["id"], ("done", "failed"))
         assert final["state"] == "done", final
@@ -176,6 +178,21 @@ class TestHTTPByteIdentity:
         code, body = request(base, "POST", "/v1/jobs", {"not": "a spec"})
         assert code == 400
         assert "invalid scenario spec" in json.loads(body)["error"]
+
+    def test_unknown_kernel_pin_is_400_and_creates_no_job(self, server):
+        service, base = server
+        scenario = tiny_scenario("bad-pin")
+        code, body = request(
+            base, "POST", "/v1/jobs",
+            {"scenario": scenario.spec_dict(), "kernel": "numpy"})
+        assert code == 400
+        assert "unknown kernel 'numpy'" in json.loads(body)["error"]
+        # The rejected pin registered nothing: the same spec submitted
+        # plainly is a fresh admission that runs to completion.
+        code, body = request(base, "POST", "/v1/jobs", scenario.spec_dict())
+        assert code == 201
+        final = wait_state(base, json.loads(body)["id"], ("done", "failed"))
+        assert final["state"] == "done", final
 
     def test_missing_record_is_404(self, server):
         service, base = server
