@@ -69,13 +69,13 @@ from repro.harness.runner import (
     ScenarioOutcome,
     SuiteReport,
     materialize_dataset,
+    plan_spans,
     restore_scenario,
     resume_scenario,
     run_scenario,
     run_scenario_sharded,
     run_scenario_traced,
     run_suite,
-    shard_spans,
     snapshot_at,
 )
 from repro.harness.scenario import (
@@ -136,6 +136,7 @@ __all__ = [
     "list_suites",
     "load_bench",
     "materialize_dataset",
+    "plan_spans",
     "record_identity",
     "register_suite",
     "render_store_diff",
@@ -147,7 +148,6 @@ __all__ = [
     "run_scenario_sharded",
     "run_scenario_traced",
     "run_suite",
-    "shard_spans",
     "shutdown_pool",
     "snapshot_at",
     "suite_table_rows",

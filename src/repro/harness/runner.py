@@ -18,35 +18,32 @@ cache hits unless ``force`` is set.
 
 Increment sharding
 ------------------
-``shard_increments=N`` splits one scenario's increment stream into N
+``shard_increments=N`` splits one scenario's increment stream into up to N
 contiguous spans, each executed as its own pool task
 (:func:`run_scenario_sharded`).  The chip's state is sequential — increment
-``i`` runs against the graph that increments ``0..i-1`` built — so spans
-need that state from somewhere.  Two modes exist:
+``i`` runs against the graph that increments ``0..i-1`` built — so span K
+starts from the :mod:`repro.snapshot` checkpoint span K-1 captured at its
+boundary, handed over through a temporary spill directory.  Every
+increment is simulated exactly once, so total CPU is one pass over the
+stream whatever the shard count; the bit-identical-schedule guarantee of
+restored snapshots (see docs/snapshot.md) makes the merged record
+**byte-identical to a serial run**.  :func:`plan_spans` decides the span
+boundaries for sharded suites and for ``repro serve`` alike; a scenario
+with a truncation budget runs as one span.
 
-* **Replay** (the default): a shard covering ``[start, stop)`` first
-  *replays* increments ``[0, start)`` with the identical simulation and
-  then measures its own span.  Replay adds CPU work quadratically in the
-  shard count; what it buys is operational — per-shard ``--timeout``
-  granularity, finer failure units, a cross-process determinism audit.
-* **Pipeline** (``pipeline=True`` / ``--pipeline``): shard K starts from
-  the :mod:`repro.snapshot` checkpoint its predecessor captured at
-  boundary ``K·span`` (checkpoints flow through a temporary spill
-  directory, or stay in memory for in-process runs), so **no increment is
-  ever simulated twice** — total CPU is O(increments) regardless of shard
-  count.  The bit-identical-schedule guarantee of restored snapshots (see
-  docs/snapshot.md) is what makes this safe.
-
-Either way the merge concatenates the measured spans in order and is
-**byte-identical to a serial run**, because every shard derives its state
-from the same deterministic spec.
+Every path — whole runs, spans, resumes, snapshot capture — streams its
+increments through one executor, :func:`_stream_span`.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import __version__
@@ -91,8 +88,7 @@ def make_algorithm(scenario: Scenario):
 
 
 # ----------------------------------------------------------------------
-# Materialisation / finalisation (shared by whole, sharded, pipelined and
-# snapshot-restored runs)
+# Materialisation / finalisation (shared by every span, fresh or restored)
 # ----------------------------------------------------------------------
 def _materialize(
     scenario: Scenario,
@@ -170,128 +166,137 @@ def _final_payload(
 
 def _snapshot_path(directory: str, scenario: Scenario, increment: int) -> str:
     """Canonical checkpoint filename for a scenario at a boundary."""
-    import os
-
     return os.path.join(directory, f"{scenario.name}-inc{increment:04d}.snap")
 
 
-def _save_checkpoint(graph: DynamicGraph, scenario: Scenario,
-                     increment: int, path: str,
-                     tracer: Optional[Tracer] = None) -> None:
-    """Capture + atomically save one increment-boundary checkpoint."""
-    from contextlib import nullcontext
-
+def _checkpoint(graph: DynamicGraph, scenario: Scenario, increment: int,
+                tracer: Optional[Tracer] = None):
+    """Capture one increment-boundary checkpoint of a scenario's run."""
     from repro.snapshot import capture
 
     span = (tracer.span("snapshot_capture", "snapshot", increment=increment)
             if tracer is not None else nullcontext())
     with span:
-        capture(graph, extra_meta={
+        return capture(graph, extra_meta={
             "spec_hash": scenario.spec_hash(),
             "scenario": scenario.name,
             "increment": increment,
-        }).save(path)
+        })
+
+
+def _require_same_spec(scenario: Scenario, snapshot) -> None:
+    """Refuse a snapshot captured from a different spec (or version)."""
+    from repro.snapshot.format import SnapshotError
+
+    expected = scenario.spec_hash()
+    recorded = snapshot.meta.get("spec_hash")
+    if recorded is not None and recorded != expected:
+        raise SnapshotError(
+            f"snapshot was captured from scenario "
+            f"{snapshot.meta.get('scenario')!r} (spec {recorded[:12]}…), "
+            f"not from {scenario.name!r} (spec {expected[:12]}…)")
 
 
 # ----------------------------------------------------------------------
-# Span execution (the shared core of whole-scenario and sharded runs)
+# The span executor: the one place increments are streamed
 # ----------------------------------------------------------------------
-def _execute_span(
+def _stream_span(
     scenario: Scenario,
-    start: int,
-    stop: Optional[int],
-    want_final: bool,
-    timings: Optional[Dict[str, float]] = None,
+    stop: Optional[int] = None,
+    *,
+    checkpoint=None,
     kernel: Optional[str] = None,
     snapshot_every: int = 0,
     snapshot_dir: Optional[str] = None,
     trace_path: Optional[str] = None,
+    timings: Optional[Dict[str, float]] = None,
     frames_every: int = 0,
     env_out: Optional[Dict[str, Any]] = None,
     device_setup: Optional[Callable[[AMCCADevice], None]] = None,
-) -> Dict[str, Any]:
-    """Run increments ``[0, stop)``, measuring only ``[start, stop)``.
+) -> Tuple[Dict[str, Any], Any]:
+    """Stream increments ``[start, stop)`` and return ``(part, boundary)``.
 
-    Increments before ``start`` are *replayed* — executed identically but
-    not reported — because the graph state they build is the starting point
-    of the measured span.  With ``want_final`` (the last shard, or a whole
-    run) the query phase runs and end-of-run statistics are extracted.
+    The run starts from a fresh build (``start = 0``) or, given
+    ``checkpoint``, from that restored snapshot (``start`` = its cursor).
+    ``stop`` defaults to the last increment.  ``part`` carries the span and
+    its per-increment cycles; when ``stop`` is the last increment it also
+    carries the ``final`` payload (query phase + statistics) and
+    ``boundary`` is ``None``, otherwise ``boundary`` is the checkpoint at
+    ``stop`` that the next span starts from.
 
     ``timings``, when given, receives wall-clock phase durations
     (``setup_s``, ``sim_s``) for the benchmark driver; they never enter the
-    returned payload, which stays fully deterministic.  ``kernel``
-    overrides the scenario's NoC kernel pin (a speed knob only: records
-    are bit-identical across kernels).  ``snapshot_every``/``snapshot_dir``
-    checkpoint the run at every Nth increment boundary (resumable runs);
-    checkpoints never change the payload either.  ``trace_path`` attaches a
-    :class:`repro.obs.Tracer` to the device and writes the Chrome trace
-    JSON there at the end — observer-only, so the payload is byte-identical
-    with or without it.  ``frames_every`` enables activity-frame capture;
+    payload, which stays fully deterministic.  ``kernel`` overrides the
+    scenario's NoC kernel pin (a speed knob only: records are bit-identical
+    across kernels).  ``snapshot_every``/``snapshot_dir`` save a checkpoint
+    at every Nth increment boundary (resumable runs).  ``trace_path``
+    attaches a :class:`repro.obs.Tracer` and writes the Chrome trace JSON
+    there at the end.  ``frames_every`` enables activity-frame capture;
     ``env_out``, when given, receives the live ``dataset``/``device``/
-    ``graph``/``algorithm`` for callers that want to inspect them after the
-    run (e.g. :func:`run_scenario_traced`).  ``device_setup``, when given,
-    is called with the freshly built device before any increment streams —
-    a test/fuzz hook (e.g. the fuzz oracle disables cycle skipping through
-    it to pin skip transparency); contract-pinned knobs flipped here must
-    leave the record byte-identical, which is exactly what the oracle
-    asserts.
+    ``graph``/``algorithm`` after the run.  ``device_setup``, when given,
+    is called with the built (and restored) device before any increment
+    streams — a test/fuzz hook (e.g. the fuzz oracle disables cycle
+    skipping through it); contract-pinned knobs flipped here must leave
+    the record byte-identical, which is exactly what the oracle asserts.
+    None of these knobs changes the payload.
     """
     t0 = time.perf_counter()
-    opts: RunOptions = scenario.options
+    if checkpoint is not None:
+        _require_same_spec(scenario, checkpoint)
     dataset, device, graph, algorithm = _materialize(
-        scenario, kernel, frames_every=frames_every)
+        scenario, kernel, seed_algorithm=checkpoint is None,
+        frames_every=frames_every)
+    if checkpoint is not None:
+        from repro.snapshot import restore_into
+
+        restore_into(graph, checkpoint)
     if device_setup is not None:
         device_setup(device)
     tracer = None
-    if trace_path is not None or env_out is not None:
-        # env_out implies an instrumented caller (run_scenario_traced):
-        # attach the tracer (and phase timers) even with no file to write.
+    if trace_path is not None:
         tracer = Tracer(process_name=f"repro:{scenario.name}")
         device.attach_tracer(tracer)
     t1 = time.perf_counter()
 
     total = len(dataset.increments)
+    start = graph.increments_streamed
     stop = total if stop is None else stop
-    if not (0 <= start <= stop <= total):
+    if not start <= stop <= total:
         raise ValueError(f"invalid span [{start}, {stop}) of {total} increments")
-    if want_final and stop != total:
-        raise ValueError("final span must run through the last increment")
-
+    every = snapshot_every if snapshot_dir else 0
+    max_cycles = scenario.options.max_cycles_per_increment
     measured: List[int] = []
-    for i, increment in enumerate(dataset.increments[:stop], start=1):
+    for i in range(start, stop):
         result = graph.stream_increment(
-            increment,
-            phase=f"increment-{i}",
-            max_cycles=opts.max_cycles_per_increment,
+            dataset.increments[i],
+            phase=f"increment-{i + 1}",
+            max_cycles=max_cycles,
         )
-        if i > start:
-            measured.append(result.cycles)
-        if snapshot_every > 0 and snapshot_dir and i % snapshot_every == 0:
-            _save_checkpoint(graph, scenario, i,
-                             _snapshot_path(snapshot_dir, scenario, i),
-                             tracer)
+        measured.append(result.cycles)
+        if every > 0 and (i + 1) % every == 0:
+            _checkpoint(graph, scenario, i + 1, tracer).save(
+                _snapshot_path(snapshot_dir, scenario, i + 1))
 
     part: Dict[str, Any] = {
         "spec_hash": scenario.spec_hash(),
         "span": [start, stop],
         "increment_cycles": measured,
-        # How many increments this task actually simulated (replay included):
-        # the quantity pipeline mode exists to shrink.  Diagnostic only —
-        # the merge never copies it into the record.
-        "simulated_increments": stop,
     }
-    if want_final:
+    boundary = None
+    if stop == total:
         part["final"] = _final_payload(scenario, dataset, device, graph,
                                        algorithm)
+    else:
+        boundary = _checkpoint(graph, scenario, stop, tracer)
     if timings is not None:
         timings["setup_s"] = t1 - t0
         timings["sim_s"] = time.perf_counter() - t1
-    if tracer is not None and trace_path is not None:
+    if tracer is not None:
         tracer.save(trace_path)
     if env_out is not None:
         env_out.update(dataset=dataset, device=device, graph=graph,
                        algorithm=algorithm)
-    return part
+    return part, boundary
 
 
 def _assemble_record(
@@ -331,14 +336,14 @@ def run_scenario(
     """Execute one scenario end to end and return its result record.
 
     ``device_setup`` (test/fuzz hook) receives the freshly built device
-    before streaming starts; see :func:`_execute_span`.
+    before streaming starts; see :func:`_stream_span`.
     """
     opts = scenario.options
-    part = _execute_span(scenario, 0, None, True, timings, kernel,
-                         snapshot_every=opts.snapshot_every,
-                         snapshot_dir=opts.snapshot_dir,
-                         trace_path=opts.trace_path,
-                         device_setup=device_setup)
+    part, _ = _stream_span(scenario, kernel=kernel, timings=timings,
+                           snapshot_every=opts.snapshot_every,
+                           snapshot_dir=opts.snapshot_dir,
+                           trace_path=opts.trace_path,
+                           device_setup=device_setup)
     return _assemble_record(scenario, part["increment_cycles"], part["final"])
 
 
@@ -356,9 +361,10 @@ def run_scenario_traced(
     :func:`run_scenario`'s — instrumentation is observer-only.
     """
     env: Dict[str, Any] = {}
-    part = _execute_span(scenario, 0, None, True, kernel=kernel,
-                         trace_path=trace_path, frames_every=frames_every,
-                         env_out=env)
+    part, _ = _stream_span(
+        scenario, kernel=kernel, trace_path=trace_path,
+        frames_every=frames_every, env_out=env,
+        device_setup=lambda device: device.simulator.enable_phase_timers())
     record = _assemble_record(scenario, part["increment_cycles"],
                               part["final"])
     return record, env["device"]
@@ -379,15 +385,8 @@ def restore_scenario(
     :data:`repro.__version__`) is checked before anything is touched.
     """
     from repro.snapshot import restore_into
-    from repro.snapshot.format import SnapshotError
 
-    expected = scenario.spec_hash()
-    recorded = snapshot.meta.get("spec_hash")
-    if recorded is not None and recorded != expected:
-        raise SnapshotError(
-            f"snapshot was captured from scenario "
-            f"{snapshot.meta.get('scenario')!r} (spec {recorded[:12]}…), "
-            f"not from {scenario.name!r} (spec {expected[:12]}…)")
+    _require_same_spec(scenario, snapshot)
     dataset, device, graph, algorithm = _materialize(
         scenario, kernel, seed_algorithm=False)
     restore_into(graph, snapshot)
@@ -402,26 +401,21 @@ def snapshot_at(
     ``increment`` counts streamed increments (1-based boundaries): ``K``
     means "after increment K".  Used by ``repro snapshot save``.
     """
-    from repro.snapshot import capture
+    from repro.snapshot import Snapshot
 
-    dataset, device, graph, algorithm = _materialize(scenario, kernel)
-    total = len(dataset.increments)
+    total = scenario.dataset.num_increments
     if not (1 <= increment <= total):
         raise ValueError(
             f"increment boundary {increment} out of range 1..{total} "
             f"for {scenario.name!r}")
-    opts = scenario.options
-    for i in range(increment):
-        graph.stream_increment(
-            dataset.increments[i],
-            phase=f"increment-{i + 1}",
-            max_cycles=opts.max_cycles_per_increment,
-        )
-    return capture(graph, extra_meta={
-        "spec_hash": scenario.spec_hash(),
-        "scenario": scenario.name,
-        "increment": increment,
-    })
+    if increment < total:
+        return _stream_span(scenario, increment, kernel=kernel)[1]
+    # A span through the last increment ends in the record payload, not a
+    # checkpoint: take the one the snapshot cadence saves at that boundary.
+    with tempfile.TemporaryDirectory(prefix="repro-snapshot-") as directory:
+        _stream_span(scenario, kernel=kernel, snapshot_every=total,
+                     snapshot_dir=directory)
+        return Snapshot.load(_snapshot_path(directory, scenario, total))
 
 
 def resume_scenario(
@@ -435,231 +429,105 @@ def resume_scenario(
     increments are simulated, and the final statistics follow from the
     restored state.
     """
-    dataset, device, graph, algorithm = restore_scenario(
-        scenario, snapshot, kernel=kernel)
-    opts = scenario.options
-    cycles = graph.per_increment_cycles()
-    for i in range(graph.increments_streamed, len(dataset.increments)):
-        result = graph.stream_increment(
-            dataset.increments[i],
-            phase=f"increment-{i + 1}",
-            max_cycles=opts.max_cycles_per_increment,
-        )
-        cycles.append(result.cycles)
-    final = _final_payload(scenario, dataset, device, graph, algorithm)
-    return _assemble_record(scenario, cycles, final)
+    env: Dict[str, Any] = {}
+    part, _ = _stream_span(scenario, checkpoint=snapshot, kernel=kernel,
+                           env_out=env)
+    return _assemble_record(scenario, env["graph"].per_increment_cycles(),
+                            part["final"])
 
 
-def shard_spans(num_increments: int, shards: int) -> List[Tuple[int, int]]:
-    """Split ``num_increments`` into up to ``shards`` contiguous spans."""
-    shards = max(1, min(shards, num_increments))
-    bounds = [round(i * num_increments / shards) for i in range(shards + 1)]
+# ----------------------------------------------------------------------
+# Split runs: span planning, the span pool task, merge
+# ----------------------------------------------------------------------
+def plan_spans(scenario: Scenario, *, shards: int = 1,
+               cadence: int = 0) -> List[Tuple[int, int]]:
+    """The contiguous ``[start, stop)`` spans a split run of a scenario uses.
+
+    ``cadence > 0`` cuts spans of at most that many increments (the
+    progress/pause granularity of ``repro serve``); otherwise the stream
+    splits into up to ``shards`` near-equal spans (``repro suite run
+    --shard-increments``).  A scenario with a truncation budget
+    (``max_cycles_per_increment``) always gets one whole span: a truncated
+    increment can leave continuations in flight, and a boundary checkpoint
+    refuses to capture those.  A one-span run is the plain serial run.
+    """
+    total = scenario.dataset.num_increments
+    if scenario.options.max_cycles_per_increment is not None:
+        return [(0, total)]
+    if cadence > 0:
+        return [(a, min(a + cadence, total))
+                for a in range(0, total, cadence)]
+    shards = max(1, min(shards, total))
+    bounds = [round(i * total / shards) for i in range(shards + 1)]
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def cadence_spans(num_increments: int, cadence: int) -> List[Tuple[int, int]]:
-    """Contiguous spans of at most ``cadence`` increments each.
-
-    The progress/pause granularity of ``repro serve``: a job executes one
-    :func:`_pipeline_span_task` per span, with a checkpoint at every
-    boundary, so increments completed (and the park point of a paused job)
-    advance in ``cadence``-sized steps.
-    """
-    cadence = max(1, cadence)
-    return [(a, min(a + cadence, num_increments))
-            for a in range(0, num_increments, cadence)]
-
-
-def _unpack_run_opts(
-    snap_opts,
-) -> Tuple[int, Optional[str], Optional[str]]:
-    """``(snapshot_every, snapshot_dir, trace_path)`` from a task's knobs.
-
-    The identity-free run options cross the process boundary as one tuple
-    alongside the (stripped) spec.  Older 2-tuples — persisted task args,
-    external callers — are accepted with no trace path.
-    """
-    if snap_opts is None:
-        return 0, None, None
-    if len(snap_opts) == 2:
-        return snap_opts[0], snap_opts[1], None
-    return snap_opts
-
-
-def _span_task(spec: Dict[str, Any], start: int, stop: int,
-               want_final: bool, kernel: Optional[str] = None,
-               snap_opts: Tuple = (0, None, None)) -> Dict[str, Any]:
-    """Pool task: one shard of one scenario (module-level, picklable).
-
-    ``kernel`` and ``snap_opts`` ride alongside the spec because
-    :meth:`Scenario.spec_dict` deliberately strips the identity-free
-    kernel pin and the ``snapshot_every``/``snapshot_dir``/``trace_path``
-    run options.  A shard's trace goes to a per-span filename derived from
-    the scenario's trace path, so parallel shards never share a file.
-    """
-    every, directory, trace = _unpack_run_opts(snap_opts)
-    scenario = Scenario.from_dict(spec)
-    if trace is not None:
-        trace = derive_trace_path(trace, f"span{start}-{stop}")
-    return _execute_span(scenario, start, stop, want_final,
-                         kernel=kernel, snapshot_every=every,
-                         snapshot_dir=directory, trace_path=trace)
-
-
-def _scenario_task(spec: Dict[str, Any],
-                   kernel: Optional[str] = None,
-                   snap_opts: Optional[Tuple] = None) -> Dict[str, Any]:
-    """Pool task: one whole scenario (module-level, picklable).
-
-    ``snap_opts`` re-threads the (identity-free, spec-stripped)
-    ``snapshot_every``/``snapshot_dir``/``trace_path`` run options across
-    the process boundary, like ``kernel`` does for the kernel pin.
-    """
-    every, directory, trace = _unpack_run_opts(snap_opts)
-    scenario = Scenario.from_dict(spec)
-    part = _execute_span(scenario, 0, None, True, kernel=kernel,
-                         snapshot_every=every, snapshot_dir=directory,
-                         trace_path=trace)
-    return _assemble_record(scenario, part["increment_cycles"], part["final"])
-
-
-#: Default ceiling (seconds) a pipeline shard waits for its upstream
-#: checkpoint before giving up (used when no --timeout guards the task).
-PIPELINE_WAIT_S = 600.0
+#: Default ceiling (seconds) a span waits for its upstream checkpoint
+#: before giving up (used when no --timeout guards the task).
+SPAN_WAIT_S = 600.0
 
 
 def _await_snapshot(path: str, timeout_s: float) -> None:
-    """Block until an upstream shard's checkpoint appears (or fails).
+    """Block until an upstream span's checkpoint appears (or fails).
 
     Checkpoints are written atomically (temp + rename), so existence
-    implies completeness.  A ``<path>.failed`` marker — written by a shard
+    implies completeness.  A ``<path>.failed`` marker — written by a span
     that raised — aborts the wait immediately instead of timing out.
     """
-    import os
-
     deadline = time.monotonic() + timeout_s
     marker = path + ".failed"
     while not os.path.exists(path):
         if os.path.exists(marker):
             raise RuntimeError(
-                f"upstream pipeline shard failed (marker {marker}); "
+                f"upstream shard failed (marker {marker}); "
                 "see its error for the cause")
         if time.monotonic() >= deadline:
             raise TimeoutError(
-                f"pipeline shard waited {timeout_s:.0f}s for upstream "
+                f"shard waited {timeout_s:.0f}s for upstream "
                 f"checkpoint {path}; upstream shard lost or stalled")
         time.sleep(0.02)
 
 
-def _run_pipeline_span(
-    scenario: Scenario,
-    start: int,
-    stop: int,
-    want_final: bool,
-    kernel: Optional[str],
-    checkpoint,
-    snap_opts: Tuple = (0, None, None),
-) -> Tuple[Dict[str, Any], Any]:
-    """The pipeline-shard core shared by the pooled and in-process paths.
-
-    Simulates exactly ``[start, stop)`` — from a fresh materialisation when
-    ``checkpoint`` is ``None`` (shard 0), otherwise from the restored
-    checkpoint — honouring the scenario's ``snapshot_every`` cadence.
-    Returns ``(part, boundary_checkpoint)``; the checkpoint is ``None`` for
-    the final shard, which carries the ``final`` payload instead.  Only the
-    checkpoint *transport* (spill files vs in-memory hand-off) differs
-    between callers.
-    """
-    from repro.snapshot import capture
-
-    if checkpoint is None:
-        dataset, device, graph, algorithm = _materialize(scenario, kernel)
-    else:
-        dataset, device, graph, algorithm = restore_scenario(
-            scenario, checkpoint, kernel=kernel)
-    opts = scenario.options
-    every, directory, trace = _unpack_run_opts(snap_opts)
-    tracer = None
-    if trace is not None:
-        trace = derive_trace_path(trace, f"span{start}-{stop}")
-        tracer = Tracer(process_name=f"repro:{scenario.name}")
-        device.attach_tracer(tracer)
-    measured: List[int] = []
-    for i in range(start, stop):
-        result = graph.stream_increment(
-            dataset.increments[i],
-            phase=f"increment-{i + 1}",
-            max_cycles=opts.max_cycles_per_increment,
-        )
-        measured.append(result.cycles)
-        if every > 0 and directory and (i + 1) % every == 0:
-            _save_checkpoint(graph, scenario, i + 1,
-                             _snapshot_path(directory, scenario, i + 1),
-                             tracer)
-    part: Dict[str, Any] = {
-        "spec_hash": scenario.spec_hash(),
-        "span": [start, stop],
-        "increment_cycles": measured,
-        "simulated_increments": stop - start,
-    }
-    boundary = None
-    if want_final:
-        part["final"] = _final_payload(scenario, dataset, device, graph,
-                                       algorithm)
-    else:
-        if tracer is not None:
-            with tracer.span("snapshot_capture", "snapshot", increment=stop):
-                boundary = capture(graph, extra_meta={
-                    "spec_hash": scenario.spec_hash(),
-                    "scenario": scenario.name,
-                    "increment": stop,
-                })
-        else:
-            boundary = capture(graph, extra_meta={
-                "spec_hash": scenario.spec_hash(),
-                "scenario": scenario.name,
-                "increment": stop,
-            })
-    if tracer is not None:
-        tracer.save(trace)
-    return part, boundary
-
-
-def _pipeline_span_task(
+def _span_task(
     spec: Dict[str, Any],
     start: int,
     stop: int,
-    want_final: bool,
-    kernel: Optional[str],
-    snap_in: Optional[str],
-    snap_out: Optional[str],
-    wait_s: float = PIPELINE_WAIT_S,
+    kernel: Optional[str] = None,
+    snap_in: Optional[str] = None,
+    snap_out: Optional[str] = None,
+    wait_s: float = SPAN_WAIT_S,
     snap_opts: Tuple = (0, None, None),
 ) -> Dict[str, Any]:
-    """Pool task: one *pipeline* shard — starts from a checkpoint, never
-    replays.
+    """Pool task: one span of one scenario (module-level, picklable).
 
-    Shard 0 materialises fresh; shard K waits for the checkpoint its
-    predecessor wrote at boundary ``start``, restores it, and simulates
-    exactly ``[start, stop)``.  Every non-final shard emits the checkpoint
-    at ``stop`` for its successor.  On failure a ``.failed`` marker next to
-    the would-be output unblocks downstream waiters.
+    The first span builds fresh; a later one waits for the checkpoint its
+    predecessor wrote to ``snap_in`` at boundary ``start``, restores it
+    and streams exactly ``[start, stop)``.  A span that does not reach the
+    last increment writes its boundary checkpoint to ``snap_out``; the last
+    one returns the ``final`` payload instead.  On failure a ``.failed``
+    marker next to ``snap_out`` unblocks a waiting successor.
+
+    ``kernel`` and ``snap_opts`` (``snapshot_every``, ``snapshot_dir``,
+    ``trace_path``) ride alongside the spec because
+    :meth:`Scenario.spec_dict` strips these identity-free knobs.  A span
+    shorter than the whole stream traces to a per-span filename derived
+    from the scenario's trace path, so parallel spans never share a file.
     """
-    from pathlib import Path
-
     from repro.snapshot import Snapshot
 
+    every, directory, trace = snap_opts
     scenario = Scenario.from_dict(spec)
+    if trace is not None and (start, stop) != (0, scenario.dataset.num_increments):
+        trace = derive_trace_path(trace, f"span{start}-{stop}")
     try:
         checkpoint = None
-        if start != 0:
-            assert snap_in is not None
+        if snap_in is not None:
             _await_snapshot(snap_in, wait_s)
             checkpoint = Snapshot.load(snap_in)
-        part, boundary = _run_pipeline_span(
-            scenario, start, stop, want_final, kernel, checkpoint, snap_opts)
+        part, boundary = _stream_span(
+            scenario, stop, checkpoint=checkpoint, kernel=kernel,
+            snapshot_every=every, snapshot_dir=directory, trace_path=trace)
         if boundary is not None:
-            assert snap_out is not None
             boundary.save(snap_out)
         return part
     except BaseException:
@@ -671,10 +539,64 @@ def _pipeline_span_task(
         raise
 
 
+def _spill_path(spill_dir: str, scenario: Scenario, boundary: int) -> str:
+    """Where a split run hands off its checkpoint at ``boundary``."""
+    return os.path.join(spill_dir,
+                        f"{scenario.spec_hash()[:16]}-inc{boundary:05d}.snap")
+
+
+def _run_options(scenario: Scenario) -> Tuple:
+    """The scenario's own ``(snapshot_every, snapshot_dir, trace_path)``."""
+    opts = scenario.options
+    return opts.snapshot_every, opts.snapshot_dir, opts.trace_path
+
+
+def _span_tasks(
+    scenario: Scenario,
+    spans: List[Tuple[int, int]],
+    spill_dir: str,
+    kernel: Optional[str],
+    timeout: Optional[float],
+    snap_opts: Tuple = (0, None, None),
+) -> List[Tuple[Callable[..., Dict[str, Any]], Tuple]]:
+    """One ``(_span_task, args)`` per span; checkpoints hand off through
+    ``spill_dir``.
+
+    ``snap_opts`` defaults to writing no snapshot or trace files; the suite
+    passes :func:`_run_options`, while ``repro serve`` keeps the default so
+    a client's spec never chooses paths the server writes to.
+    """
+    spec = scenario.spec_dict()
+    total = scenario.dataset.num_increments
+    return [
+        (_span_task,
+         (spec, a, b, kernel,
+          _spill_path(spill_dir, scenario, a) if a > 0 else None,
+          _spill_path(spill_dir, scenario, b) if b < total else None,
+          _span_wait_s(timeout, index), snap_opts))
+        for index, (a, b) in enumerate(spans)
+    ]
+
+
+def _span_wait_s(timeout: Optional[float], span_index: int) -> float:
+    """Checkpoint-wait budget for span ``span_index``.
+
+    The wait legitimately spans the *cumulative* runtime of every upstream
+    span (span K cannot see its input before spans 0..K-1 have all run),
+    so the unguarded default scales with the span index instead of
+    applying one flat cap that long runs would trip spuriously.  An
+    explicit ``--timeout`` takes over outright — the pool kills overdue
+    waiters anyway, so a tighter in-task deadline would only race it.
+    """
+    if timeout is not None:
+        return timeout
+    return SPAN_WAIT_S * max(1, span_index)
+
+
 def _merge_shard_parts(
     scenario: Scenario, parts: List[Dict[str, Any]]
 ) -> Dict[str, Any]:
-    """Deterministic merge of shard payloads into one canonical record."""
+    """Deterministic merge of span payloads into one canonical record."""
     parts = sorted(parts, key=lambda p: p["span"][0])
     cycles: List[int] = []
     final: Optional[Dict[str, Any]] = None
@@ -692,23 +614,10 @@ def _merge_shard_parts(
     return _assemble_record(scenario, cycles, final)
 
 
-def _pipeline_spill_paths(spill_dir: str, scenario: Scenario,
-                          spans: List[Tuple[int, int]]) -> List[Tuple]:
-    """Per-span ``(start, stop, want_final, snap_in, snap_out)`` tuples."""
-    import os
-
-    prefix = scenario.spec_hash()[:16]
-    last = spans[-1][1]
-
-    def path(boundary: int) -> str:
-        return os.path.join(spill_dir, f"{prefix}-inc{boundary:05d}.snap")
-
-    out = []
-    for a, b in spans:
-        out.append((a, b, b == last,
-                    path(a) if a > 0 else None,
-                    path(b) if b != last else None))
-    return out
+def _spill_dir() -> tempfile.TemporaryDirectory:
+    """A temporary checkpoint hand-off directory, removed on exit."""
+    return tempfile.TemporaryDirectory(prefix="repro-shards-",
+                                       ignore_cleanup_errors=True)
 
 
 def run_scenario_sharded(
@@ -718,82 +627,29 @@ def run_scenario_sharded(
     pool: Optional[WorkerPool] = None,
     timeout: Optional[float] = None,
     kernel: Optional[str] = None,
-    pipeline: bool = False,
-    parts_out: Optional[List[Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
-    """Run one scenario as sharded spans and merge — byte-identical to serial.
+    """Run one scenario as checkpoint-linked spans and merge them.
 
-    With ``pool`` the spans run as parallel pool tasks (each guarded by
-    ``timeout``, if set); without one they run in-process, which still
-    exercises the span/merge path.  Raises ``TimeoutError`` or
-    ``RuntimeError`` when a shard fails.
-
-    ``pipeline=True`` switches from prefix replay to checkpoint hand-off:
-    shard K restores the snapshot its predecessor captured at boundary
-    K·span and simulates only its own span, so total CPU across shards is
-    O(increments) instead of O(shards · increments).  Checkpoints flow
-    through a temporary spill directory (pooled runs) or stay in memory
-    (in-process runs).  The merged record stays byte-identical either way.
-    ``parts_out``, when given, receives the raw span payloads — their
-    ``simulated_increments`` fields are the no-replay proof the tests and
-    the A/B acceptance check read.
+    Span K restores the checkpoint span K-1 captured at its boundary and
+    streams only its own increments, so every increment is simulated once
+    and the merged record is byte-identical to :func:`run_scenario`'s.
+    Checkpoints hand off through a temporary spill directory.  With
+    ``pool`` the spans run as pool tasks (each guarded by ``timeout``, if
+    set); without one they run in order in-process.  Raises
+    ``TimeoutError`` or ``RuntimeError`` when a span fails.
     """
-    spans = shard_spans(scenario.dataset.num_increments, shards)
-    spec = scenario.spec_dict()
     effective = kernel if kernel is not None else scenario.chip.kernel
-    opts = scenario.options
-    snap_opts = (opts.snapshot_every, opts.snapshot_dir, opts.trace_path)
-    last = spans[-1][1]
-    if pool is None:
-        if pipeline:
-            parts = _pipeline_inprocess(scenario, spans, effective)
+    spans = plan_spans(scenario, shards=shards)
+    with _spill_dir() as spill_dir:
+        tasks = _span_tasks(scenario, spans, spill_dir, effective, timeout,
+                            _run_options(scenario))
+        if pool is None:
+            parts = [fn(*args) for fn, args in tasks]
         else:
-            parts = [_span_task(spec, a, b, b == last, effective, snap_opts)
-                     for a, b in spans]
-    elif pipeline:
-        import shutil
-        import tempfile
-
-        spill_dir = tempfile.mkdtemp(prefix="repro-pipeline-")
-        try:
-            tasks = [
-                (_pipeline_span_task,
-                 (spec, a, b, final, effective, snap_in, snap_out,
-                  _pipeline_wait_s(timeout, index), snap_opts))
-                for index, (a, b, final, snap_in, snap_out)
-                in enumerate(_pipeline_spill_paths(spill_dir, scenario, spans))
-            ]
             outcomes = pool.run_tasks(tasks, timeout=timeout)
             _raise_on_shard_failure(scenario, outcomes, timeout)
             parts = [o.value for o in outcomes]
-        finally:
-            shutil.rmtree(spill_dir, ignore_errors=True)
-    else:
-        outcomes = pool.run_tasks(
-            [(_span_task, (spec, a, b, b == last, effective, snap_opts))
-             for a, b in spans],
-            timeout=timeout,
-        )
-        _raise_on_shard_failure(scenario, outcomes, timeout)
-        parts = [o.value for o in outcomes]
-    if parts_out is not None:
-        parts_out.extend(parts)
     return _merge_shard_parts(scenario, parts)
-
-
-def _pipeline_wait_s(timeout: Optional[float], span_index: int) -> float:
-    """Checkpoint-wait budget for pipeline shard ``span_index``.
-
-    The wait legitimately spans the *cumulative* runtime of every upstream
-    shard (shard K cannot see its input before shards 0..K-1 have all
-    run), so the unguarded default scales with the shard index instead of
-    applying one flat cap that long runs would trip spuriously.  An
-    explicit ``--timeout`` takes over outright — the pool kills overdue
-    waiters anyway, so a tighter in-task deadline would only race it.
-    """
-    if timeout is not None:
-        return timeout
-    return PIPELINE_WAIT_S * max(1, span_index)
 
 
 def _raise_on_shard_failure(scenario: Scenario, outcomes, timeout) -> None:
@@ -804,34 +660,6 @@ def _raise_on_shard_failure(scenario: Scenario, outcomes, timeout) -> None:
         if outcome.status != "ok":
             raise RuntimeError(
                 f"shard of {scenario.name!r} failed:\n{outcome.error}")
-
-
-def _pipeline_inprocess(
-    scenario: Scenario, spans: List[Tuple[int, int]], kernel: Optional[str],
-) -> List[Dict[str, Any]]:
-    """Pipeline shards executed in-process: checkpoints stay in memory.
-
-    Exercises the exact capture → restore → resume path of the pooled
-    pipeline (each span restores from a *decoded copy* of the bytes the
-    previous span captured) without touching the filesystem.
-    """
-    from repro.snapshot import Snapshot
-
-    opts = scenario.options
-    snap_opts = (opts.snapshot_every, opts.snapshot_dir, opts.trace_path)
-    last = spans[-1][1]
-    parts: List[Dict[str, Any]] = []
-    checkpoint = None
-    for a, b in spans:
-        part, boundary = _run_pipeline_span(
-            scenario, a, b, b == last, kernel,
-            (Snapshot.from_bytes(checkpoint.to_bytes())
-             if checkpoint is not None else None),
-            snap_opts,
-        )
-        checkpoint = boundary
-        parts.append(part)
-    return parts
 
 
 # ----------------------------------------------------------------------
@@ -899,7 +727,6 @@ def run_suite(
     expect_cached: bool = False,
     pool: Optional[WorkerPool] = None,
     kernel: Optional[str] = None,
-    pipeline: bool = False,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     trace_base: Optional[str] = None,
@@ -921,8 +748,9 @@ def run_suite(
         Optional callback receiving one human-readable line per scenario.
     shard_increments:
         Split each pending scenario's increment stream into up to this many
-        spans, each its own pool task (see the module docstring for the
-        replay cost model).  ``1`` disables sharding.
+        spans, each its own pool task, handing chip state between them as
+        :mod:`repro.snapshot` checkpoints (see the module docstring).  ``1``
+        disables sharding.
     timeout:
         Per-task wall-clock budget in seconds.  An overdue task's worker is
         killed; the scenario records a ``timeout`` outcome and the rest of
@@ -940,12 +768,6 @@ def run_suite(
         :data:`repro.arch.config.KERNELS`).  A speed knob only: records,
         spec hashes and cache behaviour are identical across kernels, so
         this composes freely with the store.
-    pipeline:
-        With ``shard_increments > 1``, hand chip state between shards as
-        :mod:`repro.snapshot` checkpoints instead of replaying prefixes:
-        shard K starts from the snapshot emitted at boundary K·span, so no
-        increment is ever simulated twice.  Stores stay byte-identical to
-        serial runs.
     tracer:
         Optional :class:`repro.obs.Tracer` observing the harness side of
         the run: cache hits/outcomes, pool task spans, store writes.  The
@@ -1018,19 +840,17 @@ def run_suite(
                 outcomes = _run_pending_pooled(
                     scenarios, pending, observed_pool,
                     shard_increments=shard_increments, timeout=timeout,
-                    max_workers=workers, kernel=kernel, pipeline=pipeline,
+                    max_workers=workers, kernel=kernel,
                 )
             else:
                 # Serial in-process path.  Sharding still executes span-by-span
-                # (exercising the span/merge — and, with --pipeline, the
-                # capture/restore — path) so the flag never silently no-ops
-                # just because jobs defaulted to 1.
+                # (exercising the capture/restore/merge path) so the flag
+                # never silently no-ops just because jobs defaulted to 1.
                 outcomes = []
                 for i in pending:
                     if shard_increments > 1:
                         record = run_scenario_sharded(scenarios[i], shard_increments,
-                                                      kernel=kernel,
-                                                      pipeline=pipeline)
+                                                      kernel=kernel)
                     else:
                         record = run_scenario(scenarios[i], kernel=kernel)
                     outcomes.append(
@@ -1097,64 +917,31 @@ def _run_pending_pooled(
     timeout: Optional[float],
     max_workers: Optional[int] = None,
     kernel: Optional[str] = None,
-    pipeline: bool = False,
 ) -> List[ScenarioOutcome]:
     """Run pending scenarios on a pool, sharding each when asked to.
 
-    All tasks (shards of every pending scenario) go into one batch so spans
+    All span tasks (of every pending scenario) go into one batch so spans
     of a long scenario interleave with other scenarios across the workers.
     Returns one outcome per pending index, in ``pending`` order.
 
-    Pipeline mode keeps every scenario's spans contiguous and in span order
-    within the batch.  Combined with the pool's in-order dispatch this
-    guarantees progress: the earliest unfinished span of any scenario
-    always has a finished predecessor, so a worker blocked on an upstream
-    checkpoint can never deadlock the batch.
+    Every scenario's spans stay contiguous and in span order within the
+    batch.  Combined with the pool's in-order dispatch this guarantees
+    progress: the earliest unfinished span of any scenario always has a
+    finished predecessor, so a worker blocked on an upstream checkpoint can
+    never deadlock the batch.
     """
-    spill_dir: Optional[str] = None
-    tasks = []
-    task_owner: List[int] = []  # task index -> position in `pending`
-    for pos, i in enumerate(pending):
-        scenario = scenarios[i]
-        effective = kernel if kernel is not None else scenario.chip.kernel
-        spans = (shard_spans(scenario.dataset.num_increments, shard_increments)
-                 if shard_increments > 1 else [])
-        opts = scenario.options
-        snap_opts = (opts.snapshot_every, opts.snapshot_dir, opts.trace_path)
-        if len(spans) > 1:
-            last = spans[-1][1]
-            spec = scenario.spec_dict()
-            if pipeline:
-                if spill_dir is None:
-                    import tempfile
-
-                    spill_dir = tempfile.mkdtemp(prefix="repro-pipeline-")
-                for index, (a, b, final, snap_in, snap_out) in enumerate(
-                        _pipeline_spill_paths(spill_dir, scenario, spans)):
-                    tasks.append((_pipeline_span_task,
-                                  (spec, a, b, final, effective, snap_in,
-                                   snap_out, _pipeline_wait_s(timeout, index),
-                                   snap_opts)))
-                    task_owner.append(pos)
-            else:
-                for a, b in spans:
-                    tasks.append((_span_task,
-                                  (spec, a, b, b == last, effective,
-                                   snap_opts)))
-                    task_owner.append(pos)
-        else:
-            tasks.append((_scenario_task,
-                          (scenario.spec_dict(), effective, snap_opts)))
-            task_owner.append(pos)
-
-    try:
+    with _spill_dir() as spill_dir:
+        tasks = []
+        task_owner: List[int] = []  # task index -> position in `pending`
+        for pos, i in enumerate(pending):
+            scenario = scenarios[i]
+            effective = kernel if kernel is not None else scenario.chip.kernel
+            spans = plan_spans(scenario, shards=shard_increments)
+            tasks += _span_tasks(scenario, spans, spill_dir, effective,
+                                 timeout, _run_options(scenario))
+            task_owner += [pos] * len(spans)
         results = pool.run_tasks(tasks, timeout=timeout,
                                  max_workers=max_workers)
-    finally:
-        if spill_dir is not None:
-            import shutil
-
-            shutil.rmtree(spill_dir, ignore_errors=True)
 
     grouped: Dict[int, List[TaskResult]] = {}
     for task_id, result in enumerate(results):
@@ -1171,9 +958,6 @@ def _run_pending_pooled(
             error = next((r.error for r in bad if r.error), None)
             outcomes.append(ScenarioOutcome(scenario, None, cached=False,
                                             status=status, error=error))
-        elif len(parts) == 1 and "span" not in parts[0].value:
-            outcomes.append(ScenarioOutcome(scenario, parts[0].value,
-                                            cached=False))
         else:
             record = _merge_shard_parts(scenario, [r.value for r in parts])
             outcomes.append(ScenarioOutcome(scenario, record, cached=False))

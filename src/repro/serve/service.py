@@ -6,14 +6,16 @@ metrics registry — and runs ``jobs`` scheduler threads, each of which pops
 one job at a time (round-robin across clients) and drives it span by span
 through the pool:
 
-* every span is a :func:`~repro.harness.runner._pipeline_span_task` — the
-  same module-level pool task ``--shard-increments --pipeline`` uses —
-  started from the previous boundary's checkpoint, so nothing is ever
-  replayed and every boundary is a valid park/handoff point;
+* every span is a :func:`~repro.harness.runner._span_task` — the same
+  module-level pool task ``repro suite run`` uses, planned by the same
+  :func:`~repro.harness.runner.plan_spans` rule — started from the
+  previous boundary's checkpoint, so nothing is ever simulated twice and
+  every boundary is a valid park/handoff point.  A scenario with a
+  truncation budget runs as one span, so it cannot pause mid-stream;
 * pausing simply stops dispatching further spans (the boundary checkpoint
   stays on disk); resuming re-enqueues the job, which picks up at
   ``next_start``.  The merged record is byte-identical to an uninterrupted
-  run because the merge is the pipeline-shard merge;
+  run because the merge is the sharded-suite merge;
 * per-span timeouts and crash containment come from the pool: an overdue
   or crashed span fails only its own job, and the worker is respawned.
 
@@ -35,10 +37,7 @@ from typing import Any, Optional, Tuple
 from repro.arch.config import KERNELS
 from repro.harness.pool import DispatchPool
 from repro.harness.runner import (
-    _merge_shard_parts,
-    _pipeline_span_task,
-    cadence_spans,
-)
+    _merge_shard_parts, _span_tasks, _spill_path, plan_spans)
 from repro.harness.scenario import Scenario
 from repro.harness.store import ResultStore
 from repro.obs import MetricsRegistry
@@ -253,10 +252,6 @@ class ScenarioService:
         os.makedirs(path, exist_ok=True)
         return path
 
-    def _checkpoint_path(self, job: Job, boundary: int) -> str:
-        return os.path.join(self._spill_dir(job),
-                            f"inc{boundary:05d}.snap")
-
     def _execute(self, job: Job) -> None:
         with job.cond:
             if job.pause_requested:
@@ -272,27 +267,24 @@ class ScenarioService:
         self._refresh_gauges()
         started = time.monotonic()
         scenario = job.scenario
-        spec = scenario.spec_dict()
         total = job.total_increments
-        spans = [(a, b) for a, b in cadence_spans(total, self.config.cadence)
-                 if a >= job.next_start]
-        for start, stop in spans:
+        spans = plan_spans(scenario, cadence=max(1, self.config.cadence))
+        spill_dir = self._spill_dir(job)
+        # Default snapshot options: a client's spec never picks the paths
+        # the server writes snapshot or trace files to.
+        tasks = _span_tasks(scenario, spans, spill_dir, job.kernel,
+                            self.config.timeout)
+        for (start, stop), (task, args) in zip(spans, tasks):
+            if start < job.next_start:
+                continue
             if self._stopping.is_set():
                 self._park(job, "service stopping")
                 return
-            want_final = stop == total
-            snap_in = (self._checkpoint_path(job, start)
+            # Spans run strictly in order here, so the upstream checkpoint
+            # is always already on disk when a span starts.
+            snap_in = (_spill_path(spill_dir, scenario, start)
                        if start > 0 else None)
-            snap_out = (None if want_final
-                        else self._checkpoint_path(job, stop))
-            # wait_s is a formality: spans run strictly in order here, so
-            # the upstream checkpoint is always already on disk.
-            result = self.pool.run(
-                _pipeline_span_task,
-                (spec, start, stop, want_final, job.kernel,
-                 snap_in, snap_out, 10.0, (0, None, None)),
-                timeout=self.config.timeout,
-            )
+            result = self.pool.run(task, args, timeout=self.config.timeout)
             self._count_span(result.status)
             if result.status != "ok":
                 detail = (f"span [{start}, {stop}) timed out after "
@@ -318,7 +310,7 @@ class ScenarioService:
                     os.remove(snap_in)
                 except OSError:  # pragma: no cover - already gone
                     pass
-            if not want_final and job.pause_requested:
+            if stop < total and job.pause_requested:
                 self._park(job, f"paused at increment {stop}")
                 return
         record = _merge_shard_parts(scenario, job.parts)

@@ -1,26 +1,26 @@
 """``repro.snapshot``: deterministic checkpoint/restore of mid-stream chip state.
 
-The ROADMAP's scale story was capped by a structural cost: increment
-sharding replayed every shard's prefix, so total CPU grew quadratically
-with shard count.  This package removes that cost.  A :class:`Snapshot`
-captures the **complete data state** of a run at a point in simulated time
-— simulator clock and wake wheel, per-cell execution bookkeeping, NoC
-in-flight messages, IO queues, runtime counters, RPVO blocks, ghost
-allocator RNG, ingest cursors — in a compact, schema-versioned,
-stdlib-only binary format (:mod:`repro.snapshot.format`).  Restoring it
-onto a freshly constructed device/graph yields a simulator whose
-subsequent schedule is **bit-identical** to the uninterrupted run, on
-every NoC kernel; that invariant is what lets the harness turn
-prefix-replay sharding into true pipeline parallelism
-(``repro suite run --shard-increments N --pipeline``) and makes long runs
-resumable (``snapshot_every``).  See docs/snapshot.md.
+A :class:`Snapshot` captures the **complete data state** of a run at a
+point in simulated time — simulator clock and wake wheel, per-cell
+execution bookkeeping, NoC in-flight messages, IO queues, runtime
+counters, RPVO blocks, ghost allocator RNG, ingest cursors — in a compact,
+schema-versioned, stdlib-only binary format (:mod:`repro.snapshot.format`).
+Restoring it onto a freshly constructed device/graph yields a simulator
+whose subsequent schedule is **bit-identical** to the uninterrupted run, on
+every NoC kernel.  That invariant is how the harness splits a run: each
+span of ``repro suite run --shard-increments N`` (and each span of a
+``repro serve`` job) starts from the checkpoint the previous span captured,
+so no increment is simulated twice.  It also makes long runs resumable
+(``snapshot_every``).  See docs/snapshot.md.
 
 Code is never serialised: dispatchers, action handlers and message
 factories are rebuilt from the declarative spec by the restore path, and
 state that only exists mid-diffusion (Task closures, pending ghost
 futures, registered continuations) fails capture with an actionable
-error.  Increment boundaries — where the harness captures — never contain
-such state.
+error.  The boundary of an increment that ran to quiescence — where the
+harness captures — never contains such state; an increment cut off by
+``max_cycles_per_increment`` can, so the harness runs those scenarios as
+one span.
 
 API::
 
@@ -53,7 +53,7 @@ class Snapshot:
     ``repro snapshot info``; ``body`` holds one entry per captured
     component (``sim``, ``io``, ``device``, ``graph``).  ``state_hash``
     is the SHA-256 of the canonical body encoding, so two snapshots of
-    identical chip state — e.g. one taken mid-pipeline and one taken at
+    identical chip state — e.g. one taken at a shard boundary and one taken at
     the same increment of an uninterrupted run — hash equal without any
     field-by-field comparison.
     """

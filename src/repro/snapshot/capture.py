@@ -6,8 +6,8 @@ Two capture granularities exist:
   the :class:`~repro.arch.simulator.Simulator` (clock, wake wheel, cells,
   statistics, NoC in-flight state), the IO channels, the device runtime
   counters and the graph side (RPVO blocks, ghost allocator RNG, ingest
-  cursor).  This is what the harness's pipeline sharding and
-  ``snapshot_every`` use.
+  cursor).  This is what the harness's increment sharding, ``repro serve``
+  and ``snapshot_every`` use.
 * :func:`capture_simulator` — a bare :class:`Simulator` with no graph on
   top (used by architecture-level tests and custom harnesses).  Cell
   memories must be empty — arbitrary resident objects cannot be
@@ -15,8 +15,10 @@ Two capture granularities exist:
 
 Both refuse state that is not plain data (Task closures, pending ghost
 futures, registered continuations, enabled tracing) with errors that name
-the offender; at an increment boundary none of these exist, so boundary
-captures always succeed.
+the offender; at the boundary of an increment that ran to quiescence none
+of these exist, so boundary captures succeed.  An increment cut off by
+``max_cycles_per_increment`` can leave continuations in flight, which is
+why the harness runs such scenarios as one span.
 """
 
 from __future__ import annotations

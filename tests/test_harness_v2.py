@@ -21,17 +21,18 @@ from repro.harness import (
     ChipSpec,
     DatasetSpec,
     ResultStore,
+    RunOptions,
     Scenario,
     WorkerPool,
     diff_stores,
     get_pool,
+    plan_spans,
     record_identity,
     render_store_diff,
     run_bench,
     run_scenario,
     run_scenario_sharded,
     run_suite,
-    shard_spans,
     shutdown_pool,
 )
 from repro.harness.bench import (
@@ -163,9 +164,20 @@ class TestWorkerPool:
 @requires_numpy
 class TestSharding:
     def test_shard_spans_cover_contiguously(self):
-        assert shard_spans(10, 3) == [(0, 3), (3, 7), (7, 10)]
-        assert shard_spans(2, 8) == [(0, 1), (1, 2)]
-        assert shard_spans(5, 1) == [(0, 5)]
+        def spans(n, **kwargs):
+            return plan_spans(tiny_scenario(num_increments=n), **kwargs)
+
+        assert spans(10, shards=3) == [(0, 3), (3, 7), (7, 10)]
+        assert spans(2, shards=8) == [(0, 1), (1, 2)]
+        assert spans(5, shards=1) == [(0, 5)]
+        assert spans(10, cadence=4) == [(0, 4), (4, 8), (8, 10)]
+        # A cycle budget can leave continuations in flight at a boundary,
+        # which a checkpoint refuses, so shard and serve plans alike keep
+        # the whole stream in one span.
+        truncated = tiny_scenario(num_increments=10).with_(
+            options=RunOptions(max_cycles_per_increment=32))
+        assert plan_spans(truncated, shards=4) == [(0, 10)]
+        assert plan_spans(truncated, cadence=1) == [(0, 10)]
 
     def test_sharded_record_byte_identical_to_serial(self):
         scenario = tiny_scenario("shard", "bfs")

@@ -1,26 +1,29 @@
-"""Pipeline-parallel increment sharding: byte-identity without prefix replay.
+"""Increment sharding: checkpoint hand-off, byte-identical to serial.
 
-The acceptance contract: ``--shard-increments N --pipeline`` produces a
-store byte-identical to the serial run while the per-shard
-``simulated_increments`` counts prove no increment is simulated twice —
-replay mode's counts grow with shard index, pipeline mode's do not.
+The acceptance contract: ``--shard-increments N`` produces a store
+byte-identical to the serial run while every increment streams exactly
+once — span K starts from the checkpoint span K-1 captured, it never
+replays the prefix.  A scenario with a truncation budget runs as one span
+and still matches serial on every path.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from helpers import requires_numpy
 
+from repro.graph.graph import DynamicGraph
 from repro.harness import ResultStore, run_suite
 from repro.harness.pool import WorkerPool
 from repro.harness.runner import run_scenario, run_scenario_sharded
 from repro.harness.scenario import ChipSpec, DatasetSpec, Scenario
 
-pytestmark = requires_numpy
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def eight_increment_scenario(name="pipe-bfs", algorithm="bfs") -> Scenario:
@@ -32,51 +35,52 @@ def eight_increment_scenario(name="pipe-bfs", algorithm="bfs") -> Scenario:
     )
 
 
+@pytest.fixture
+def streamed(monkeypatch):
+    """Phase names of every in-process ``DynamicGraph.stream_increment``."""
+    phases = []
+    real = DynamicGraph.stream_increment
+
+    def spy(self, edges, **kwargs):
+        phases.append(kwargs["phase"])
+        return real(self, edges, **kwargs)
+
+    monkeypatch.setattr(DynamicGraph, "stream_increment", spy)
+    return phases
+
+
+@requires_numpy
 class TestInProcess:
     def test_pipeline_record_identical_to_serial(self):
         scenario = eight_increment_scenario()
         serial = run_scenario(scenario)
-        piped = run_scenario_sharded(scenario, 4, pipeline=True)
-        assert json.dumps(piped, sort_keys=True) == \
+        sharded = run_scenario_sharded(scenario, 4)
+        assert json.dumps(sharded, sort_keys=True) == \
             json.dumps(serial, sort_keys=True)
 
-    def test_no_prefix_replay_cpu_proof(self):
-        """Replay CPU grows with shard index; pipeline CPU does not."""
+    def test_no_prefix_replay_cpu_proof(self, streamed):
+        """Every shard streams only its own span: one pass in order."""
         scenario = eight_increment_scenario()
-        replay_parts, pipe_parts = [], []
-        replay = run_scenario_sharded(scenario, 4, parts_out=replay_parts)
-        piped = run_scenario_sharded(scenario, 4, pipeline=True,
-                                     parts_out=pipe_parts)
-        assert replay == piped
+        run_scenario_sharded(scenario, 4)
         total = scenario.dataset.num_increments
-        spans = [tuple(p["span"]) for p in pipe_parts]
-        # Pipeline: every shard simulates exactly its own span -> total CPU
-        # is one pass over the stream, independent of the shard count.
-        assert [p["simulated_increments"] for p in pipe_parts] == \
-            [b - a for a, b in spans]
-        assert sum(p["simulated_increments"] for p in pipe_parts) == total
-        # Replay: shard K simulates its whole prefix, so the counts climb
-        # with shard index and the last shard covers the full stream.
-        replay_counts = [p["simulated_increments"] for p in replay_parts]
-        assert replay_counts == [b for _a, b in spans]
-        assert replay_counts[-1] == total
-        assert sum(replay_counts) > total
+        assert streamed == [f"increment-{i}" for i in range(1, total + 1)]
 
-    def test_every_shard_count_at_every_boundary(self):
-        """Interleaved A/B across shard counts: identical records, linear
-        pipeline CPU, quadratic-ish replay CPU."""
+    def test_every_shard_count_at_every_boundary(self, streamed):
+        """Across shard counts: identical records, each increment streamed
+        exactly once."""
         scenario = eight_increment_scenario(name="pipe-ingest",
                                             algorithm="ingest")
         serial = json.dumps(run_scenario(scenario), sort_keys=True)
         total = scenario.dataset.num_increments
         for shards in (2, 3, 8):
-            parts = []
-            piped = run_scenario_sharded(scenario, shards, pipeline=True,
-                                         parts_out=parts)
-            assert json.dumps(piped, sort_keys=True) == serial, shards
-            assert sum(p["simulated_increments"] for p in parts) == total
+            streamed.clear()
+            sharded = run_scenario_sharded(scenario, shards)
+            assert json.dumps(sharded, sort_keys=True) == serial, shards
+            assert Counter(streamed) == Counter(
+                f"increment-{i}" for i in range(1, total + 1)), shards
 
 
+@requires_numpy
 class TestPooled:
     def test_pooled_pipeline_identical_with_fewer_workers_than_shards(self):
         """5 shards on 2 workers: exercises the in-order dispatch argument
@@ -85,16 +89,12 @@ class TestPooled:
         serial = run_scenario(scenario)
         pool = WorkerPool(2)
         try:
-            parts = []
-            piped = run_scenario_sharded(scenario, 5, pool=pool,
-                                         pipeline=True, timeout=120,
-                                         parts_out=parts)
+            sharded = run_scenario_sharded(scenario, 5, pool=pool,
+                                           timeout=120)
         finally:
             pool.shutdown()
-        assert json.dumps(piped, sort_keys=True) == \
+        assert json.dumps(sharded, sort_keys=True) == \
             json.dumps(serial, sort_keys=True)
-        assert sum(p["simulated_increments"] for p in parts) == \
-            scenario.dataset.num_increments
 
     def test_suite_pipeline_store_byte_identical(self, tmp_path):
         scenarios = [
@@ -106,30 +106,61 @@ class TestPooled:
         assert not report.failures
         pool = WorkerPool(2)
         try:
-            pipe_store = ResultStore(tmp_path / "pipe.jsonl")
-            report = run_suite(list(scenarios), jobs=2, store=pipe_store,
-                               shard_increments=4, pipeline=True, pool=pool,
-                               timeout=120)
+            sharded_store = ResultStore(tmp_path / "sharded.jsonl")
+            report = run_suite(list(scenarios), jobs=2, store=sharded_store,
+                               shard_increments=4, pool=pool, timeout=120)
         finally:
             pool.shutdown()
         assert not report.failures
         assert (tmp_path / "serial.jsonl").read_bytes() == \
-            (tmp_path / "pipe.jsonl").read_bytes()
+            (tmp_path / "sharded.jsonl").read_bytes()
 
     def test_spill_dir_is_cleaned_up(self, tmp_path, monkeypatch):
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         scenario = eight_increment_scenario()
+        run_scenario_sharded(scenario, 3)
         pool = WorkerPool(2)
         try:
-            run_scenario_sharded(scenario, 3, pool=pool, pipeline=True,
-                                 timeout=120)
+            run_scenario_sharded(scenario, 3, pool=pool, timeout=120)
         finally:
             pool.shutdown()
-        leftovers = [p for p in os.listdir(tmp_path)
-                     if p.startswith("repro-pipeline-")]
-        assert leftovers == []
+        assert os.listdir(tmp_path) == []
+
+
+class TestTruncated:
+    """A truncated increment can leave continuations in flight that a
+    boundary checkpoint refuses, so such a scenario runs as one span —
+    and every sharded path still reproduces the serial bytes."""
+
+    def test_truncated_scenario_shards_byte_identical(self, tmp_path):
+        with open(os.path.join(CORPUS_DIR, "fuzz-truncation-carry.json"),
+                  encoding="utf-8") as fh:
+            scenario = Scenario.from_dict(json.load(fh)["scenario"])
+        assert scenario.options.max_cycles_per_increment is not None
+        serial = run_scenario(scenario)
+        ResultStore(tmp_path / "serial.jsonl").put(serial)
+        expected = (tmp_path / "serial.jsonl").read_bytes()
+
+        report = run_suite([scenario], jobs=1, shard_increments=2,
+                           store=ResultStore(tmp_path / "inprocess.jsonl"))
+        assert not report.failures
+        assert (tmp_path / "inprocess.jsonl").read_bytes() == expected
+
+        pool = WorkerPool(2)
+        try:
+            report = run_suite([scenario], jobs=2, shard_increments=2,
+                               pool=pool, timeout=120,
+                               store=ResultStore(tmp_path / "pooled.jsonl"))
+        finally:
+            pool.shutdown()
+        assert not report.failures
+        assert (tmp_path / "pooled.jsonl").read_bytes() == expected
+
+        sharded = run_scenario_sharded(scenario, 2)
+        assert json.dumps(sharded, sort_keys=True) == \
+            json.dumps(serial, sort_keys=True)
 
 
 class TestFailurePropagation:
@@ -138,7 +169,7 @@ class TestFailurePropagation:
 
         path = str(tmp_path / "x.snap")
         open(path + ".failed", "w").close()
-        with pytest.raises(RuntimeError, match="upstream pipeline shard"):
+        with pytest.raises(RuntimeError, match="upstream shard failed"):
             _await_snapshot(path, timeout_s=5)
 
     def test_wait_timeout_is_actionable(self, tmp_path):

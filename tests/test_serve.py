@@ -6,7 +6,7 @@ The load-bearing properties:
   ``run_scenario`` encoded by the store (the determinism contract's HTTP
   half),
 * pause → resume mid-stream merges to the **same record** as an
-  uninterrupted run (the snapshot/pipeline-span transport),
+  uninterrupted run (the snapshot/span transport),
 * admission control is exact: with ``queue_depth=N``, ``N + k`` fresh
   concurrent submissions see exactly ``k`` 429s and the pool survives,
 * ``/metrics`` exposes the service counters in Prometheus text format.
@@ -16,6 +16,7 @@ port; scenarios are tiny (seconds end to end).
 """
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -144,6 +145,48 @@ class TestHTTPByteIdentity:
         final = wait_state(base, job["id"], ("done", "failed"))
         assert final["state"] == "done", final
         _, via_http = request(base, "GET", f"/v1/records/{job['id']}")
+        direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
+        assert via_http == direct
+
+    def test_truncated_job_runs_as_one_span(self, server):
+        """A spec with a truncation budget can leave continuations in
+        flight at an increment boundary, which a checkpoint refuses: the
+        job must run as one span and store the serial record."""
+        service, base = server
+        path = os.path.join(os.path.dirname(__file__), "corpus",
+                            "fuzz-truncation-carry.json")
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)["scenario"]
+        code, body = request(base, "POST", "/v1/jobs", spec)
+        assert code == 201
+        job_id = json.loads(body)["id"]
+        final = wait_state(base, job_id, ("done", "failed"))
+        assert final["state"] == "done", final
+        _, via_http = request(base, "GET", f"/v1/records/{job_id}")
+        direct = ResultStore.encode(run_scenario(Scenario.from_dict(spec)))
+        assert via_http == (direct + "\n").encode()
+
+    def test_spec_file_options_write_nothing(self, server, tmp_path):
+        """``snapshot_every``/``snapshot_dir``/``trace_path`` in a
+        submitted spec are ignored: a client never chooses paths the
+        server writes to."""
+        service, base = server
+        scenario = tiny_scenario("no-client-paths")
+        snaps = tmp_path / "client-snaps"
+        snaps.mkdir()
+        trace = tmp_path / "client-trace.json"
+        spec = scenario.spec_dict()
+        spec["options"].update(snapshot_every=1, snapshot_dir=str(snaps),
+                               trace_path=str(trace))
+        code, body = request(base, "POST", "/v1/jobs", spec)
+        assert code == 201
+        job_id = json.loads(body)["id"]
+        assert job_id == scenario.spec_hash()
+        final = wait_state(base, job_id, ("done", "failed"))
+        assert final["state"] == "done", final
+        assert list(snaps.iterdir()) == []
+        assert not trace.exists()
+        _, via_http = request(base, "GET", f"/v1/records/{job_id}")
         direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
         assert via_http == direct
 

@@ -318,8 +318,7 @@ def test_snapshot_every_checkpoints_are_resumable(tmp_path):
 
 
 @requires_numpy
-@pytest.mark.parametrize("pipeline", [False, True])
-def test_snapshot_every_survives_increment_sharding(tmp_path, pipeline):
+def test_snapshot_every_survives_increment_sharding(tmp_path):
     """The checkpoint cadence must not be lost when runs are sharded
     (snapshot_every/_dir are spec-stripped, so they ride alongside)."""
     from dataclasses import replace
@@ -330,7 +329,7 @@ def test_snapshot_every_survives_increment_sharding(tmp_path, pipeline):
     serial = run_scenario(scenario)
     checkpointed = scenario.with_(options=replace(
         scenario.options, snapshot_every=2, snapshot_dir=str(tmp_path)))
-    record = run_scenario_sharded(checkpointed, 3, pipeline=pipeline)
+    record = run_scenario_sharded(checkpointed, 3)
     assert json.dumps(record, sort_keys=True) == \
         json.dumps(serial, sort_keys=True)
     names = {p.name for p in tmp_path.iterdir()}
