@@ -594,6 +594,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ratio = "" if row.ratio is None else f" ({row.ratio:.2f}x baseline)"
         detail = f" - {row.detail}" if row.detail else ""
         print(f"  [{row.status:<14}] {row.name}{ratio}{detail}")
+    for note in comparison.notes:
+        print(f"  note: {note}")
     if not comparison.passed:
         print(f"\nFAILED: {len(comparison.failures)} workload(s) regressed",
               file=sys.stderr)

@@ -353,6 +353,9 @@ class BenchComparison:
 
     rows: List[ComparisonRow] = field(default_factory=list)
     tolerance: float = DEFAULT_TOLERANCE
+    #: Report lines about checks that did not run (e.g. the cycle check
+    #: across a version mismatch); informational, never failures.
+    notes: List[str] = field(default_factory=list)
 
     @property
     def failures(self) -> List[ComparisonRow]:
@@ -379,12 +382,19 @@ def compare_bench(
     changed without a version bump and fails the comparison outright.
     Workloads missing from the current run fail too (a silently shrunk
     benchmark must not look like a pass); new workloads are reported as
-    informational.
+    informational.  A version mismatch leaves a note saying the cycle check
+    was skipped, so a stale baseline cannot disarm it silently.
     """
     comparison = BenchComparison(tolerance=tolerance)
     current_by_name = {w["name"]: w for w in current.get("workloads", [])}
     baseline_by_name = {w["name"]: w for w in baseline.get("workloads", [])}
     same_version = (current.get("repro_version") == baseline.get("repro_version"))
+    if not same_version:
+        comparison.notes.append(
+            f"cycle check skipped: current repro "
+            f"{current.get('repro_version')!r} != baseline "
+            f"{baseline.get('repro_version')!r} (re-tag or re-promote the "
+            f"baseline at this version to re-arm it)")
 
     for name, base in baseline_by_name.items():
         cur = current_by_name.get(name)

@@ -12,6 +12,12 @@ a temp file in the same directory, fsync'd, and moved over the store with
 either the old store or the new one on disk — never a truncated line — and
 each rewrite doubles as compaction, so a hash appears at most once.
 
+A handle keeps each record in memory as its canonical line, so a put
+encodes only the new records and writes the rest as stored; reads parse
+on demand into fresh dicts.  A put re-reads the file (to fold in another
+writer's records) only when the file is no longer the one this handle last
+loaded or wrote.
+
 Two scenarios carry two distinct keys here:
 
 * ``spec_hash`` — spec **plus** :data:`repro.__version__`; the cache key.
@@ -66,20 +72,29 @@ class ResultStore:
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self._records: Dict[str, Record] = {}
+        #: spec_hash -> canonical JSONL line (no trailing newline).
+        self._lines: Dict[str, str] = {}
+        #: (st_dev, st_ino, st_size, st_mtime_ns) of the file this handle
+        #: last loaded or wrote; None when it has seen no file.
+        self._disk_sig: Optional[Tuple[int, int, int, int]] = None
         #: Observability (repro.obs), attached by run_suite / the CLI for
         #: the span of one operation.  Observer-only: spans cover rewrites,
         #: counters count them; the bytes written never change.
         self.tracer = None
         self.metrics = None
         if self.path.exists():
-            self._load()
+            self._lines, self._disk_sig = self._read_disk()
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def _load(self) -> None:
+    def _read_disk(self) -> Tuple[Dict[str, str], Tuple[int, int, int, int]]:
+        """Parse the file into canonical lines, plus the signature of the
+        inode actually read (``fstat`` of the open handle, so a concurrent
+        ``os.replace`` can never pair our lines with its signature)."""
+        lines: Dict[str, str] = {}
         with self.path.open("r", encoding="utf-8") as fh:
+            sig = _signature(os.fstat(fh.fileno()))
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -94,32 +109,40 @@ class ResultStore:
                 if not key:
                     raise ValueError(f"{self.path}:{line_no}: record has no spec_hash")
                 # Last record for a hash wins (append-only update semantics).
-                self._records[key] = record
+                lines[key] = self.encode(record)
+        return lines, sig
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
     def __contains__(self, spec_hash: str) -> bool:
-        return spec_hash in self._records
+        return spec_hash in self._lines
+
+    def line(self, spec_hash: str) -> Optional[str]:
+        """The stored canonical JSONL line (no newline), or None."""
+        return self._lines.get(spec_hash)
 
     def get(self, spec_hash: str) -> Optional[Record]:
-        """The stored record for a scenario hash, or None on a cache miss."""
-        record = self._records.get(spec_hash)
+        """The stored record for a scenario hash, or None on a cache miss.
+
+        Each call parses a fresh dict; mutating it never touches the store.
+        """
+        line = self._lines.get(spec_hash)
         if self.metrics is not None:
             self.metrics.counter(
                 "store_lookups_total", "Store cache lookups", ("result",),
-            ).inc(result="hit" if record is not None else "miss")
-        return record
+            ).inc(result="hit" if line is not None else "miss")
+        return None if line is None else json.loads(line)
 
     def records(self) -> List[Record]:
         """All stored records, in insertion order."""
-        return list(self._records.values())
+        return list(self)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._records.values())
+        return (json.loads(line) for line in list(self._lines.values()))
 
     def stale_records(self, current_version: Optional[str] = None) -> List[Record]:
         """Records written by a repro version other than ``current_version``.
@@ -128,8 +151,7 @@ class ResultStore:
         of ``spec_hash``) but still occupy the file until compacted away.
         """
         current = current_version if current_version is not None else __version__
-        return [r for r in self._records.values()
-                if r.get("repro_version") != current]
+        return [r for r in self if r.get("repro_version") != current]
 
     # ------------------------------------------------------------------
     # Writes
@@ -148,17 +170,19 @@ class ResultStore:
 
         Batching matters: a ``--force`` re-run replaces many records at
         once, and one rewrite per batch keeps I/O at O(store) instead of
-        O(batch x store).  Before rewriting, records another process added
-        to the file since our load are folded in (best effort — the window
-        between that read and our rename remains a last-writer-wins race,
-        but two suite runs appending different scenarios to one store no
-        longer silently drop each other's results).
+        O(batch x store).  Each record is encoded once; the rest of the
+        store is written from its stored lines.  Before rewriting, records
+        another process added to the file since our load are folded in
+        (best effort — the window between that read and our rename remains
+        a last-writer-wins race, but two suite runs appending different
+        scenarios to one store no longer silently drop each other's
+        results).
         """
         for record in records:
             key = record.get("spec_hash")
             if not key:
                 raise ValueError("record must carry a spec_hash")
-            self._records[key] = record
+            self._lines[key] = self.encode(record)
         if records:
             if self.tracer is not None:
                 with self.tracer.span("store_put", "store",
@@ -177,14 +201,21 @@ class ResultStore:
         """Fold in on-disk records a concurrent writer added since our load.
 
         Our own records win on conflicting hashes (that is what ``put``
-        means); only hashes we have never seen are adopted.
+        means); only hashes we have never seen are adopted.  When the file
+        is still the one this handle last loaded or wrote (same device,
+        inode, size and mtime), nobody else has replaced it and the re-read
+        is skipped.
         """
-        if not self.path.exists():
+        try:
+            sig = _signature(os.stat(self.path))
+        except FileNotFoundError:
             return
-        on_disk = ResultStore(self.path)
-        for key, record in on_disk._records.items():
-            if key not in self._records:
-                self._records[key] = record
+        if sig == self._disk_sig:
+            return
+        on_disk, _ = self._read_disk()
+        for key, line in on_disk.items():
+            if key not in self._lines:
+                self._lines[key] = line
 
     def _rewrite(self) -> None:
         """Persist the in-memory records, crash-safely.
@@ -198,20 +229,24 @@ class ResultStore:
             self.metrics.counter(
                 "store_rewrites_total", "Atomic store rewrites").inc()
             self.metrics.gauge(
-                "store_records", "Records in the store").set(len(self._records))
+                "store_records", "Records in the store").set(len(self._lines))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".jsonl.tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for record in self._records.values():
-                    fh.write(self.encode(record) + "\n")
+            # A 1 MiB buffer: a few large writes instead of one per 8 KiB.
+            with os.fdopen(fd, "w", encoding="utf-8",
+                           buffering=1 << 20) as fh:
+                for line in self._lines.values():
+                    fh.write(line + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
+                sig = _signature(os.fstat(fh.fileno()))
             os.replace(tmp, self.path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        self._disk_sig = sig
         self._fsync_parent()
 
     def _fsync_parent(self) -> None:
@@ -239,7 +274,8 @@ class ResultStore:
         dropped records; rewrites atomically only when something changed.
         """
         best: Dict[str, Record] = {}
-        for record in self._records.values():
+        records = list(self)
+        for record in records:
             identity = record_identity(record)
             incumbent = best.get(identity)
             if incumbent is None or (
@@ -247,17 +283,10 @@ class ResultStore:
                 >= _version_key(incumbent.get("repro_version"))
             ):
                 best[identity] = record
-        keep = {id(r) for r in best.values()}
-        dropped = [r for r in self._records.values() if id(r) not in keep]
+        keep = {r["spec_hash"] for r in best.values()}
+        dropped = [r for r in records if r["spec_hash"] not in keep]
         if dropped:
-            self._records = {r["spec_hash"]: r for r in self._records.values()
-                             if id(r) in keep}
-            if self.tracer is not None:
-                with self.tracer.span("store_compact", "store",
-                                      dropped=len(dropped)):
-                    self._rewrite()
-            else:
-                self._rewrite()
+            self._drop(dropped, "store_compact")
         return dropped
 
     def gc(self, current_version: Optional[str] = None) -> List[Record]:
@@ -267,19 +296,26 @@ class ResultStore:
         under an old version are dropped, leaving exactly the records the
         cache can still serve.  Returns the dropped records.
         """
-        current = current_version if current_version is not None else __version__
-        dropped = self.stale_records(current)
+        dropped = self.stale_records(current_version)
         if dropped:
-            gone = {id(r) for r in dropped}
-            self._records = {k: r for k, r in self._records.items()
-                             if id(r) not in gone}
-            if self.tracer is not None:
-                with self.tracer.span("store_gc", "store",
-                                      dropped=len(dropped)):
-                    self._rewrite()
-            else:
-                self._rewrite()
+            self._drop(dropped, "store_gc")
         return dropped
+
+    def _drop(self, dropped: List[Record], span: str) -> None:
+        """Remove ``dropped`` from memory and rewrite the file atomically."""
+        gone = {r["spec_hash"] for r in dropped}
+        self._lines = {k: line for k, line in self._lines.items()
+                       if k not in gone}
+        if self.tracer is not None:
+            with self.tracer.span(span, "store", dropped=len(dropped)):
+                self._rewrite()
+        else:
+            self._rewrite()
+
+
+def _signature(st: os.stat_result) -> Tuple[int, int, int, int]:
+    """Identity of one file version: a rewrite changes the inode."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 # ----------------------------------------------------------------------

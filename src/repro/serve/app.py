@@ -48,6 +48,10 @@ MAX_WAIT_S = 30.0
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    #: TCP_NODELAY on every connection: headers and body go out as two
+    #: writes, and with Nagle on the body waits for the client's delayed
+    #: ACK (~40 ms per response on a keep-alive connection).
+    disable_nagle_algorithm = True
     #: Set by make_server on the handler subclass.
     service: ScenarioService
 

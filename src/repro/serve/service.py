@@ -319,6 +319,8 @@ class ScenarioService:
         shutil.rmtree(os.path.join(self.work_dir, job.id[:16]),
                       ignore_errors=True)
         with job.cond:
+            # The store holds the durable copy; drop the span payloads.
+            job.parts = []
             job.state = DONE
             job.events.append(
                 f"done: record stored under {job.id[:16]}… "
@@ -338,6 +340,7 @@ class ScenarioService:
 
     def _fail(self, job: Job, detail: str, outcome: str = "failed") -> None:
         with job.cond:
+            job.parts = []
             job.state = FAILED
             job.error = detail
             job.events.append(f"failed: {detail}")
@@ -356,10 +359,10 @@ class ScenarioService:
         Byte-identical to the line a direct ``repro suite run`` writes —
         the HTTP half of the determinism contract.
         """
-        record = self.store.get(spec_hash)
-        if record is None:
+        line = self.store.line(spec_hash)
+        if line is None:
             return None
-        return (ResultStore.encode(record) + "\n").encode("utf-8")
+        return (line + "\n").encode("utf-8")
 
     # ------------------------------------------------------------------
     # Metrics plumbing

@@ -460,12 +460,17 @@ class TestBench:
         drift = compare_bench(
             self._payload({"w": 1000.0}, cycles={"w": 1001}), baseline)
         assert [r.status for r in drift.failures] == ["cycles-changed"]
-        # A version bump legitimises changed cycles.
+        assert drift.notes == []
+        # A version bump legitimises changed cycles, and says so.
         bumped = compare_bench(
             self._payload({"w": 1000.0}, version="9.9.9",
                           cycles={"w": 1001}),
             baseline)
         assert bumped.passed
+        assert bumped.notes == [
+            f"cycle check skipped: current repro '9.9.9' != baseline "
+            f"{__version__!r} (re-tag or re-promote the baseline at this "
+            f"version to re-arm it)"]
 
     def test_compare_flags_missing_and_new_workloads(self):
         baseline = self._payload({"kept": 1000.0, "dropped": 1000.0})

@@ -9,25 +9,30 @@ The load-bearing properties:
   uninterrupted run (the snapshot/span transport),
 * admission control is exact: with ``queue_depth=N``, ``N + k`` fresh
   concurrent submissions see exactly ``k`` 429s and the pool survives,
-* ``/metrics`` exposes the service counters in Prometheus text format.
+* ``/metrics`` exposes the service counters in Prometheus text format,
+* responses never stall on Nagle's algorithm, and a finished job keeps no
+  span payloads (the store is the durable copy).
 
 Everything runs against a real ``ThreadingHTTPServer`` on an ephemeral
 port; scenarios are tiny (seconds end to end).
 """
 
+import http.client
 import json
 import os
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.harness.pool import TaskResult
 from repro.harness.runner import run_scenario
 from repro.harness.scenario import ChipSpec, DatasetSpec, RunOptions, Scenario
 from repro.harness.store import ResultStore
 from repro.serve import FairQueue, Job, ScenarioService, ServeConfig, make_server
-from repro.serve.app import POLL_INTERVAL_S
+from repro.serve.app import POLL_INTERVAL_S, _Handler
 
 from helpers import requires_numpy
 
@@ -400,3 +405,66 @@ class TestEventsAndViews:
         service, base = server
         code, _ = request(base, "GET", "/v2/nothing")
         assert code == 404
+
+
+class TestLatencyAndMemory:
+    def test_handler_disables_nagle(self):
+        assert _Handler.disable_nagle_algorithm is True
+
+    def test_keep_alive_record_gets_do_not_stall(self, server):
+        """Headers and body are two socket writes; with Nagle on, each
+        response's body waits ~40 ms for the client's delayed ACK."""
+        service, base = server
+        spec_hash = "f" * 64
+        with service._store_lock:
+            service.store.put({"spec_hash": spec_hash, "total_cycles": 1,
+                               "increment_cycles": list(range(64))})
+        expected = service.record_bytes(spec_hash)
+        host, port = base.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(25):
+                conn.request("GET", f"/v1/records/{spec_hash}")
+                resp = conn.getresponse()
+                assert (resp.status, resp.read()) == (200, expected)
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.5, f"25 keep-alive GETs took {elapsed:.2f}s"
+
+    def test_done_job_drops_span_parts(self, server):
+        service, base = server
+        scenario = tiny_scenario("drop-parts")
+        code, body = request(base, "POST", "/v1/jobs", scenario.spec_dict())
+        assert code == 201
+        job_id = json.loads(body)["id"]
+        final = wait_state(base, job_id, ("done", "failed"))
+        assert final["state"] == "done", final
+        assert service.registry.get(job_id).parts == []
+        _, via_http = request(base, "GET", f"/v1/records/{job_id}")
+        direct = (ResultStore.encode(run_scenario(scenario)) + "\n").encode()
+        assert via_http == direct
+
+    def test_failed_job_drops_span_parts(self, server, monkeypatch):
+        service, base = server
+        scenario = tiny_scenario("fail-second-span")
+        job_id = scenario.spec_hash()
+        real_run = service.pool.run
+        held = []
+
+        def fail_second_span(task, args, timeout=None):
+            job = service.registry.get(job_id)
+            if len(job.parts) == 1:
+                held.append(len(job.parts))
+                return TaskResult(status="error", error="injected")
+            return real_run(task, args, timeout=timeout)
+
+        monkeypatch.setattr(service.pool, "run", fail_second_span)
+        code, _ = request(base, "POST", "/v1/jobs", scenario.spec_dict())
+        assert code == 201
+        final = wait_state(base, job_id, ("done", "failed"))
+        assert final["state"] == "failed", final
+        assert "injected" in final["error"]
+        assert held == [1]
+        assert service.registry.get(job_id).parts == []

@@ -6,9 +6,13 @@ and `os.replace`s it into place.  These tests exercise that contract under
 concurrency — readers racing a compaction, writers racing each other
 behind a lock (the `repro serve` arrangement), and rewrites that die
 mid-replace via failure-injection hooks — and assert the on-disk store is
-always either the old or the new contents, never a torn mix.
+always either the old or the new contents, never a torn mix.  The last
+classes pin the in-memory line representation: a put from the handle that
+last wrote the file does no JSON parsing, reads hand out independent
+dicts, and the bytes on disk are what the dict-backed store wrote.
 """
 
+import json
 import os
 import threading
 
@@ -248,3 +252,81 @@ class TestFailureInjection:
             for thread in threads:
                 thread.join()
         assert errors == []
+
+
+class TestLineStore:
+    def test_put_from_last_writer_parses_nothing(self, tmp_path,
+                                                 monkeypatch):
+        """A put on a 500-record store from the handle that wrote it last
+        encodes the new record once and never parses a stored line."""
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        store.put_many([_record(f"r{i}") for i in range(500)])
+        loads_calls, encode_calls = [], []
+        real_loads, real_encode = json.loads, ResultStore.encode
+
+        def spy_loads(*args, **kwargs):
+            loads_calls.append(1)
+            return real_loads(*args, **kwargs)
+
+        def spy_encode(record):
+            encode_calls.append(1)
+            return real_encode(record)
+
+        monkeypatch.setattr(json, "loads", spy_loads)
+        monkeypatch.setattr(ResultStore, "encode", staticmethod(spy_encode))
+        store.put(_record("one-more"))
+        monkeypatch.undo()
+        assert (len(loads_calls), len(encode_calls)) == (0, 1)
+        assert len(ResultStore(path)) == 501
+
+    def test_reads_are_independent_copies(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        record = _record("exp")
+        store.put(record)
+        record["total_cycles"] = -1  # the caller's dict is not the store's
+        got = store.get(record["spec_hash"])
+        got["total_cycles"] = 7
+        got["energy"]["total_uj"] = 99.0
+        next(iter(store))["name"] = "mutated"
+        store.records()[0]["scenario"] = None
+        again = store.get(record["spec_hash"])
+        assert again["total_cycles"] == 100
+        assert again["energy"]["total_uj"] == 1.0
+        assert again["name"] == "exp" and again["scenario"] is not None
+        assert store.line(record["spec_hash"]) == ResultStore.encode(again)
+        assert ResultStore(path).get(record["spec_hash"]) == again
+
+    def test_file_bytes_match_dict_backed_store(self, tmp_path):
+        """puts, put_many, a cross-handle merge, compact and gc leave the
+        exact bytes the dict-backed store wrote for the same inputs:
+        canonical lines (a hand-written line is re-encoded on load),
+        replaced hashes keep their slot, merged-in hashes go last."""
+        path = tmp_path / "store.jsonl"
+        path.write_text(
+            '{"spec_hash": "h0", "b": 1, "a": "\u00e9", '
+            '"repro_version": "0.9.0", "scenario": {"name": "x"}}\n\n',
+            encoding="utf-8")
+        store = ResultStore(path)
+        store.put({"spec_hash": "a1", "repro_version": "1.0.0",
+                   "scenario": {"name": "x"}, "v": 1.5})
+        store.put_many([
+            {"spec_hash": "b0", "repro_version": "0.9.0",
+             "scenario": {"name": "y"}, "v": [1, 2]},
+            {"spec_hash": "a1", "repro_version": "1.0.0",
+             "scenario": {"name": "x"}, "v": 2.25},
+        ])
+        ResultStore(path).put({"spec_hash": "c1", "repro_version": "1.0.0",
+                               "v": None})
+        store.put({"spec_hash": "d1", "repro_version": "1.0.0",
+                   "scenario": {"name": "z"}})
+        assert [r["spec_hash"] for r in store.compact()] == ["h0"]
+        assert [r["spec_hash"] for r in store.gc("1.0.0")] == ["b0"]
+        assert path.read_bytes() == (
+            b'{"repro_version":"1.0.0","scenario":{"name":"x"},'
+            b'"spec_hash":"a1","v":2.25}\n'
+            b'{"repro_version":"1.0.0","scenario":{"name":"z"},'
+            b'"spec_hash":"d1"}\n'
+            b'{"repro_version":"1.0.0","spec_hash":"c1","v":null}\n'
+        )
