@@ -1,23 +1,30 @@
 """Persistent worker-process pool with per-task timeouts and crash isolation.
 
 :class:`WorkerPool` keeps a fixed set of long-lived worker processes alive
-across task batches (and across :func:`~repro.harness.runner.run_suite`
-calls, via :func:`get_pool`), so suites of many tiny scenarios amortise
+(across :func:`~repro.harness.runner.run_suite` calls, via
+:func:`get_pool`), so suites of many tiny scenarios amortise
 interpreter/import startup instead of paying it per scenario the way a
 fresh ``multiprocessing.Pool`` per run does.
+
+One dispatcher thread owns the workers.  Callers :meth:`~WorkerPool.submit`
+tasks from any thread and get a :class:`concurrent.futures.Future` back;
+the dispatcher hands queued tasks to idle workers in FIFO order.  A batch
+(:meth:`~WorkerPool.run_tasks`, used by ``repro suite run``) is submit-all
++ wait; ``repro serve`` submits one job span at a time.  Both therefore
+get the same guarantees.
 
 Tasks travel over one duplex :func:`multiprocessing.Pipe` per worker rather
 than a shared queue.  That buys two properties a ``Pool`` cannot offer:
 
 * **Hard per-task timeouts.**  The parent knows exactly which worker runs
   which task, so an overdue task is handled by killing *that* worker and
-  respawning a replacement — sibling tasks keep running, and the batch
-  records a ``timeout`` result instead of hanging.
+  respawning a replacement — sibling tasks keep running, and the task
+  resolves as ``timeout`` instead of hanging.
 * **Crash containment.**  A worker that dies mid-task (OOM kill, segfault)
-  closes its pipe; :func:`multiprocessing.connection.wait` wakes the parent,
-  which records an ``error`` result and respawns.  Pipes carry whole pickled
-  messages, so killing a worker can never corrupt a shared queue the way
-  terminating a ``multiprocessing.Queue`` feeder can.
+  closes its pipe; :func:`multiprocessing.connection.wait` wakes the
+  dispatcher, which resolves that task as ``error`` and respawns.  Pipes
+  carry whole pickled messages, so killing a worker can never corrupt a
+  shared queue the way terminating a ``multiprocessing.Queue`` feeder can.
 
 Task callables must be module-level functions (they are pickled by
 reference); arguments and results must be picklable.
@@ -31,6 +38,7 @@ import threading
 import time
 import traceback
 from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -115,37 +123,59 @@ class _Worker:
 
 
 @dataclass
-class _InFlight:
-    """Book-keeping for a task currently assigned to a worker."""
+class _Task:
+    """One submitted task: queued until dispatch, then in flight on a worker."""
 
-    task_id: int
-    started: float
-    deadline: Optional[float]
+    future: Future
+    fn: Callable[..., Any]
+    args: Tuple[Any, ...]
+    timeout: Optional[float]
+    task_id: int = 0  # batch index (observability only)
+    started: float = 0.0
+    deadline: Optional[float] = None
     pid: int = 0
     start_ns: int = 0  # tracer-clock dispatch time (observability only)
 
 
 class WorkerPool:
-    """A reusable pool of worker processes executing batches of tasks.
+    """Warm worker processes behind one thread-safe dispatcher.
 
-    Unlike ``multiprocessing.Pool``, the pool survives between
-    :meth:`run_tasks` calls, enforces a hard per-task ``timeout`` (the
-    worker is killed and replaced), and isolates worker crashes to the task
-    that triggered them.
+    Any number of threads :meth:`submit` single tasks; the dispatcher
+    thread hands them to idle workers in FIFO order, enforces each task's
+    hard ``timeout`` (the overdue worker is killed and replaced), and
+    confines a worker crash to the task that triggered it.  A batch
+    (:meth:`run_tasks`) is the same submit-all + wait, so ``repro suite
+    run`` and ``repro serve`` share one scheduler.
+
+    ``_lock`` guards the queue and the closed flag; the worker list and
+    the idle/busy sets belong to the dispatcher thread.
     """
 
     def __init__(self, workers: int, *, context=None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._ctx = context or multiprocessing.get_context()
-        self._workers: List[_Worker] = [_Worker(self._ctx) for _ in range(workers)]
+        self._workers: List[_Worker] = [_Worker(self._ctx)
+                                        for _ in range(workers)]
+        self._idle: deque = deque(self._workers)
+        self._busy: Dict[_Worker, _Task] = {}
+        self._pending: deque = deque()
+        self._lock = threading.Lock()
         self._closed = False
+        #: Respawn count (timeouts, crashes, idle deaths), for service metrics.
+        self.respawns = 0
         #: Observability (repro.obs), attached by run_suite for the span of
         #: one suite.  Parent-side only: task spans measure dispatch→result
         #: on the parent clock (tid = worker pid), so nothing crosses the
         #: process boundary and worker payloads stay untouched.
         self.tracer = None
         self.metrics = None
+        # Wake channel: submit()/shutdown() nudge the dispatcher out of its
+        # connection wait without a polling interval.
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        self._thread = threading.Thread(
+            target=self._loop, name="worker-pool", daemon=True)
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -160,267 +190,57 @@ class WorkerPool:
 
     def worker_pids(self) -> List[int]:
         """PIDs of the current worker processes (changes when one is killed)."""
-        return [w.process.pid for w in self._workers if w.process.pid is not None]
+        return [w.process.pid for w in list(self._workers)
+                if w.process.pid is not None]
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_tasks(
-        self,
-        tasks: List[Task],
-        *,
-        timeout: Optional[float] = None,
-        on_result: Optional[Callable[[int, TaskResult], None]] = None,
-        max_workers: Optional[int] = None,
-    ) -> List[TaskResult]:
-        """Run a batch of tasks, returning results in submission order.
-
-        Parameters
-        ----------
-        timeout:
-            Per-task wall-clock budget in seconds.  An overdue task's worker
-            is killed and replaced, and its slot records ``status="timeout"``;
-            other tasks are unaffected.  ``None`` disables the guard.
-        on_result:
-            Optional callback invoked as ``on_result(task_id, result)`` in
-            completion order (useful for live progress lines).
-        max_workers:
-            Cap on concurrently running tasks for this batch.  Lets a caller
-            honour a smaller parallelism request on a larger shared pool
-            without tearing it down.
-        """
-        if self._closed:
-            raise RuntimeError("pool has been shut down")
-        results: List[Optional[TaskResult]] = [None] * len(tasks)
-        pending = deque(range(len(tasks)))
-        idle = deque(self._workers)
-        busy: Dict[_Worker, _InFlight] = {}
-
-        tracer = self.tracer
-        metrics = self.metrics
-        named_pids: set = set()
-        tasks_total = task_seconds = queue_depth = None
-        if metrics is not None:
-            tasks_total = metrics.counter(
-                "pool_tasks_total", "Pool tasks by outcome", ("status",))
-            task_seconds = metrics.histogram(
-                "pool_task_seconds", "Pool task wall time (dispatch→result)")
-            queue_depth = metrics.gauge(
-                "pool_queue_depth", "Tasks not yet dispatched")
-
-        def finish(worker: _Worker, result: TaskResult) -> None:
-            flight = busy.pop(worker)
-            result.elapsed_s = time.monotonic() - flight.started
-            results[flight.task_id] = result
-            if tracer is not None:
-                tracer.complete(
-                    "pool_task", "pool", start_ns=flight.start_ns,
-                    dur_ns=tracer.now_ns() - flight.start_ns, tid=flight.pid,
-                    task_id=flight.task_id, status=result.status)
-            if metrics is not None:
-                tasks_total.inc(status=result.status)
-                task_seconds.observe(result.elapsed_s)
-            if on_result is not None:
-                on_result(flight.task_id, result)
-
-        while pending or busy:
-            while pending and idle and (max_workers is None
-                                        or len(busy) < max_workers):
-                worker = idle.popleft()
-                # A worker can die while idle (OOM kill between batches of a
-                # long-lived shared pool); replace it instead of letting the
-                # send below take the whole batch down.
-                if not worker.alive:
-                    self._replace(worker, idle)
-                    continue
-                task_id = pending.popleft()
-                fn, args = tasks[task_id]
-                now = time.monotonic()
-                try:
-                    worker.conn.send((task_id, fn, args))
-                except (BrokenPipeError, OSError):
-                    pending.appendleft(task_id)
-                    self._replace(worker, idle)
-                    continue
-                pid = worker.process.pid or 0
-                if tracer is not None and pid not in named_pids:
-                    named_pids.add(pid)
-                    tracer.thread_name(pid, f"worker-{pid}")
-                busy[worker] = _InFlight(
-                    task_id=task_id,
-                    started=now,
-                    deadline=(now + timeout) if timeout is not None else None,
-                    pid=pid,
-                    start_ns=tracer.now_ns() if tracer is not None else 0,
-                )
-                if queue_depth is not None:
-                    queue_depth.set(len(pending))
-
-            deadlines = [f.deadline for f in busy.values() if f.deadline is not None]
-            poll = None
-            if deadlines:
-                poll = max(0.0, min(deadlines) - time.monotonic())
-            ready = _wait_connections([w.conn for w in busy], timeout=poll)
-
-            by_conn = {w.conn: w for w in busy}
-            for conn in ready:
-                worker = by_conn[conn]
-                try:
-                    task_id, status, payload = conn.recv()
-                except (EOFError, OSError):
-                    # Worker died without reporting (crash, OOM kill).
-                    finish(worker, TaskResult(
-                        status="error",
-                        error="worker process died before returning a result",
-                    ))
-                    self._replace(worker, idle)
-                    continue
-                if status == "ok":
-                    finish(worker, TaskResult(status="ok", value=payload))
-                else:
-                    finish(worker, TaskResult(status="error", error=payload))
-                idle.append(worker)
-
-            now = time.monotonic()
-            for worker in [w for w, f in busy.items()
-                           if f.deadline is not None and f.deadline <= now]:
-                if tracer is not None:
-                    tracer.instant("task_timeout", "pool",
-                                   tid=busy[worker].pid,
-                                   task_id=busy[worker].task_id)
-                finish(worker, TaskResult(status="timeout"))
-                self._replace(worker, idle)
-
-        return [r for r in results if r is not None]
-
-    def _replace(self, worker: _Worker, idle: deque) -> None:
-        """Kill a worker and put a fresh replacement into the idle set."""
-        old_pid = worker.process.pid or 0
-        worker.kill()
-        self._workers.remove(worker)
-        replacement = _Worker(self._ctx)
-        self._workers.append(replacement)
-        idle.append(replacement)
-        if self.tracer is not None:
-            self.tracer.instant("worker_respawn", "pool", tid=old_pid,
-                                new_pid=replacement.process.pid or 0)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "pool_respawns_total",
-                "Workers killed and replaced (timeout or crash)").inc()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def shutdown(self) -> None:
-        """Stop every worker.  Idempotent; the pool is unusable afterwards."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            worker.stop()
-        self._workers = []
-
-
-# ----------------------------------------------------------------------
-# Continuous dispatch: the pool/job adapter for long-lived services
-# ----------------------------------------------------------------------
-class TaskHandle:
-    """Awaitable result slot for one :class:`DispatchPool` task."""
-
-    __slots__ = ("_event", "result")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.result: Optional[TaskResult] = None
-
-    def _resolve(self, result: TaskResult) -> None:
-        self.result = result
-        self._event.set()
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> Optional[TaskResult]:
-        """Block until the task resolves; ``None`` only on wait timeout."""
-        if not self._event.wait(timeout):
-            return None
-        return self.result
-
-
-@dataclass
-class _Queued:
-    """One submitted-but-not-dispatched DispatchPool task."""
-
-    handle: TaskHandle
-    fn: Callable[..., Any]
-    args: Tuple[Any, ...]
-    timeout: Optional[float]
-
-
-class DispatchPool:
-    """Warm worker processes behind a thread-safe, always-on dispatcher.
-
-    :meth:`WorkerPool.run_tasks` is a synchronous batch API: one caller,
-    results when the whole batch drains.  A long-lived service needs the
-    opposite shape — many threads submitting single tasks at arbitrary
-    times against one warm set of workers — so this adapter runs the same
-    ``_Worker`` processes under a dedicated dispatcher thread: tasks queue
-    through :meth:`submit`, are assigned to idle workers as they free up,
-    and keep the ``WorkerPool`` guarantees (hard per-task timeouts kill and
-    respawn only the overdue worker; a crashed worker resolves only its own
-    task).  ``repro serve`` runs every job span through one of these.
-
-    Task callables must be module-level functions (pickled by reference),
-    exactly as for :class:`WorkerPool`.
-    """
-
-    def __init__(self, workers: int, *, context=None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._ctx = context or multiprocessing.get_context()
-        self._workers: List[_Worker] = [_Worker(self._ctx)
-                                        for _ in range(workers)]
-        self._idle: deque = deque(self._workers)
-        self._busy: Dict[_Worker, Tuple[TaskHandle, _InFlight]] = {}
-        self._pending: deque = deque()
-        self._lock = threading.Lock()
-        self._closed = False
-        #: Respawn count (timeouts + crashes), for service metrics.
-        self.respawns = 0
-        # Wake channel: submit()/shutdown() nudge the dispatcher out of its
-        # connection wait without a polling interval.
-        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
-        self._thread = threading.Thread(
-            target=self._loop, name="dispatch-pool", daemon=True)
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self._workers)
-
-    @property
-    def alive(self) -> bool:
-        return not self._closed
-
     def submit(self, fn: Callable[..., Any], args: Tuple[Any, ...] = (),
-               *, timeout: Optional[float] = None) -> TaskHandle:
-        """Queue one task; returns immediately with its result handle."""
-        handle = TaskHandle()
+               *, timeout: Optional[float] = None) -> Future:
+        """Queue one task; returns at once with a future of its TaskResult.
+
+        ``timeout`` is the task's wall-clock budget in seconds from
+        dispatch (``None`` disables the guard).  The future never raises:
+        failures resolve it with an ``error`` or ``timeout`` result.
+        """
+        return self._submit(fn, args, timeout, 0)
+
+    def _submit(self, fn: Callable[..., Any], args: Tuple[Any, ...],
+                timeout: Optional[float], task_id: int) -> Future:
+        future: Future = Future()
+        future.set_running_or_notify_cancel()  # pool tasks cannot be cancelled
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool has been shut down")
-            self._pending.append(_Queued(handle, fn, tuple(args), timeout))
+            self._pending.append(_Task(future, fn, tuple(args), timeout,
+                                       task_id))
         self._wake()
-        return handle
+        return future
 
     def run(self, fn: Callable[..., Any], args: Tuple[Any, ...] = (),
             *, timeout: Optional[float] = None) -> TaskResult:
-        """Submit and block until the task resolves (convenience wrapper)."""
-        result = self.submit(fn, args, timeout=timeout).wait()
-        assert result is not None  # handle.wait() without timeout never None
-        return result
+        """Submit one task and block until it resolves."""
+        return self.submit(fn, args, timeout=timeout).result()
+
+    def run_tasks(self, tasks: List[Task], *, timeout: Optional[float] = None,
+                  max_workers: Optional[int] = None) -> List[TaskResult]:
+        """Run a batch of tasks, returning results in submission order.
+
+        Every task gets the per-task ``timeout`` of :meth:`submit`.
+        ``max_workers`` caps this batch's outstanding tasks, refilling as
+        each finishes, so a caller can honour a smaller parallelism request
+        on a larger shared pool without tearing it down.
+        """
+        cap = max_workers or len(tasks)
+        futures: List[Future] = []
+        outstanding: set = set()
+        for task_id, (fn, args) in enumerate(tasks):
+            if len(outstanding) >= cap:
+                _, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
+            futures.append(self._submit(fn, args, timeout, task_id))
+            outstanding.add(futures[-1])
+        return [f.result() for f in futures]
 
     def _wake(self) -> None:
         try:
@@ -429,47 +249,41 @@ class DispatchPool:
             pass
 
     # ------------------------------------------------------------------
+    # The dispatcher thread
+    # ------------------------------------------------------------------
     def _loop(self) -> None:
+        try:
+            self._dispatch_until_closed()
+        except Exception:  # e.g. a respawn that cannot fork
+            # Fail every waiting caller instead of leaving it blocked.
+            error = traceback.format_exc()
+            with self._lock:
+                self._closed = True
+                stranded = [*self._pending, *self._busy.values()]
+                self._pending.clear()
+            for worker in self._workers:
+                worker.kill()
+            self._workers = []
+            for task in stranded:
+                task.future.set_result(TaskResult(status="error", error=error))
+
+    def _dispatch_until_closed(self) -> None:
         while True:
             with self._lock:
-                closed = self._closed
-                # Dispatch everything an idle worker can take.
-                while self._pending and self._idle and not closed:
-                    worker = self._idle.popleft()
-                    if not worker.alive:
-                        self._replace_locked(worker)
-                        continue
-                    item = self._pending.popleft()
-                    now = time.monotonic()
-                    try:
-                        worker.conn.send((0, item.fn, item.args))
-                    except (BrokenPipeError, OSError):
-                        self._pending.appendleft(item)
-                        self._replace_locked(worker)
-                        continue
-                    deadline = (now + item.timeout
-                                if item.timeout is not None else None)
-                    self._busy[worker] = (item.handle, _InFlight(
-                        task_id=0, started=now, deadline=deadline,
-                        pid=worker.process.pid or 0))
-                busy = dict(self._busy)
-                if closed and not busy:
+                self._dispatch_locked()
+                if self._closed and not self._busy:
                     return
-            deadlines = [f.deadline for _, f in busy.values()
-                         if f.deadline is not None]
+            deadlines = [t.deadline for t in self._busy.values()
+                         if t.deadline is not None]
             poll = None
             if deadlines:
                 poll = max(0.0, min(deadlines) - time.monotonic())
-            conns = [w.conn for w in busy] + [self._wake_r]
-            ready = _wait_connections(conns, timeout=poll)
+            by_conn = {w.conn: w for w in self._busy}
+            ready = _wait_connections([*by_conn, self._wake_r], timeout=poll)
 
             if self._wake_r in ready:
-                try:
-                    while self._wake_r.poll():
-                        self._wake_r.recv()
-                except (EOFError, OSError):  # pragma: no cover - shutdown race
-                    pass
-            by_conn = {w.conn: w for w in busy}
+                while self._wake_r.poll():
+                    self._wake_r.recv()
             for conn in ready:
                 worker = by_conn.get(conn)
                 if worker is None:
@@ -477,49 +291,123 @@ class DispatchPool:
                 try:
                     _task_id, status, payload = conn.recv()
                 except (EOFError, OSError):
+                    # Worker died without reporting (crash, OOM kill).
                     self._finish(worker, TaskResult(
                         status="error",
                         error="worker process died before returning a result",
                     ), replace=True)
+                    continue
+                except Exception:  # an unloadable result; the pipe is intact
+                    self._finish(worker, TaskResult(
+                        status="error", error=traceback.format_exc()))
                     continue
                 if status == "ok":
                     self._finish(worker, TaskResult(status="ok", value=payload))
                 else:
                     self._finish(worker, TaskResult(status="error",
                                                     error=payload))
+
             now = time.monotonic()
-            with self._lock:
-                overdue = [w for w, (_, f) in self._busy.items()
-                           if f.deadline is not None and f.deadline <= now]
-            for worker in overdue:
+            for worker in [w for w, t in self._busy.items()
+                           if t.deadline is not None and t.deadline <= now]:
+                task = self._busy[worker]
+                if self.tracer is not None:
+                    self.tracer.instant("task_timeout", "pool", tid=task.pid,
+                                        task_id=task.task_id)
                 self._finish(worker, TaskResult(status="timeout"),
                              replace=True)
 
+    def _dispatch_locked(self) -> None:
+        """Hand queued tasks to idle workers, oldest first (lock held)."""
+        while self._pending and self._idle and not self._closed:
+            worker = self._idle.popleft()
+            # A worker can die while idle (OOM kill between tasks of a
+            # long-lived pool); replace it instead of failing the send.
+            if not worker.alive:
+                self._replace(worker)
+                continue
+            task = self._pending.popleft()
+            try:
+                worker.conn.send((task.task_id, task.fn, task.args))
+            except (BrokenPipeError, OSError):
+                self._pending.appendleft(task)
+                self._replace(worker)
+                continue
+            except Exception:  # unpicklable task: nothing reached the pipe
+                self._idle.appendleft(worker)
+                task.future.set_result(TaskResult(
+                    status="error", error=traceback.format_exc()))
+                continue
+            task.started = time.monotonic()
+            if task.timeout is not None:
+                task.deadline = task.started + task.timeout
+            task.pid = worker.process.pid or 0
+            self._busy[worker] = task
+            tracer, metrics = self.tracer, self.metrics
+            if tracer is not None:
+                task.start_ns = tracer.now_ns()
+                tracer.thread_name(task.pid, f"worker-{task.pid}")
+            if metrics is not None:
+                with metrics.locked():
+                    metrics.gauge("pool_queue_depth",
+                                  "Tasks not yet dispatched").set(
+                        len(self._pending))
+
     def _finish(self, worker: _Worker, result: TaskResult,
                 replace: bool = False) -> None:
-        with self._lock:
-            handle, flight = self._busy.pop(worker)
-            result.elapsed_s = time.monotonic() - flight.started
+        """Record a task's outcome, recycle its worker, resolve its future."""
+        task = self._busy.pop(worker)
+        result.elapsed_s = time.monotonic() - task.started
+        tracer, metrics = self.tracer, self.metrics
+        if tracer is not None:
+            tracer.complete(
+                "pool_task", "pool", start_ns=task.start_ns,
+                dur_ns=tracer.now_ns() - task.start_ns, tid=task.pid,
+                task_id=task.task_id, status=result.status)
+        if metrics is not None:
+            with metrics.locked():
+                metrics.counter("pool_tasks_total", "Pool tasks by outcome",
+                                ("status",)).inc(status=result.status)
+                metrics.histogram(
+                    "pool_task_seconds",
+                    "Pool task wall time (dispatch→result)",
+                ).observe(result.elapsed_s)
+        # Resolve last: a batch caller may detach the observers as soon as
+        # its final future resolves.
+        try:
             if replace:
-                self._replace_locked(worker)
+                self._replace(worker)
             else:
                 self._idle.append(worker)
-        handle._resolve(result)
+        finally:
+            task.future.set_result(result)
 
-    def _replace_locked(self, worker: _Worker) -> None:
-        """Kill a worker and enlist a fresh replacement (lock held)."""
+    def _replace(self, worker: _Worker) -> None:
+        """Kill a worker and put a fresh replacement into the idle set."""
+        old_pid = worker.process.pid or 0
         worker.kill()
         self._workers.remove(worker)
         replacement = _Worker(self._ctx)
         self._workers.append(replacement)
         self._idle.append(replacement)
         self.respawns += 1
+        if self.tracer is not None:
+            self.tracer.instant("worker_respawn", "pool", tid=old_pid,
+                                new_pid=replacement.process.pid or 0)
+        if self.metrics is not None:
+            with self.metrics.locked():
+                self.metrics.counter(
+                    "pool_respawns_total",
+                    "Workers killed and replaced (timeout or crash)").inc()
 
+    # ------------------------------------------------------------------
+    # Lifecycle
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
         """Stop accepting work, resolve queued tasks as errors, reap workers.
 
-        In-flight tasks are allowed to finish; idempotent.
+        In-flight tasks are allowed to finish.  Idempotent; the pool is
+        unusable afterwards.
         """
         with self._lock:
             if self._closed:
@@ -527,14 +415,21 @@ class DispatchPool:
             self._closed = True
             dropped = list(self._pending)
             self._pending.clear()
-        for item in dropped:
-            item.handle._resolve(TaskResult(
+        for task in dropped:
+            task.future.set_result(TaskResult(
                 status="error", error="pool shut down before dispatch"))
         self._wake()
         self._thread.join()
         for worker in self._workers:
             worker.stop()
         self._workers = []
+        self._wake_r.close()
+        self._wake_w.close()
+
+
+#: Former name of the service-side pool; perfbench/serve_launcher.py
+#: still imports it.
+DispatchPool = WorkerPool
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ timestamps, hostnames or wall-clock), so the same scenario produces a
 byte-identical record whether it runs in-process, in a worker, or sharded.
 
 :func:`run_suite` fans a suite out over a persistent
-:class:`~repro.harness.pool.WorkerPool`.  Each worker rebuilds its own
+:class:`~repro.harness.pool.WorkerPool` as one batch: every task is
+submitted to the pool's FIFO dispatcher (the one ``repro serve`` also
+uses) and the batch waits for all of them.  Each worker rebuilds its own
 :class:`~repro.runtime.device.AMCCADevice` from the declarative spec — a
 mid-run simulator is full of closures and is not picklable, but a
 :class:`Scenario` is a frozen dataclass of plain values, so only specs cross
@@ -925,10 +927,10 @@ def _run_pending_pooled(
     Returns one outcome per pending index, in ``pending`` order.
 
     Every scenario's spans stay contiguous and in span order within the
-    batch.  Combined with the pool's in-order dispatch this guarantees
-    progress: the earliest unfinished span of any scenario always has a
-    finished predecessor, so a worker blocked on an upstream checkpoint can
-    never deadlock the batch.
+    batch.  The batch submits tasks in that order and the pool dispatches
+    them first-in first-out, which guarantees progress: the earliest
+    unfinished span of any scenario always has a finished predecessor, so a
+    worker blocked on an upstream checkpoint can never deadlock the batch.
     """
     with _spill_dir() as spill_dir:
         tasks = []

@@ -17,39 +17,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro import __version__
 from repro.arch.config import ChipConfig
 
-# What the harness can run is no longer a hardcoded tuple: algorithms
+# What the harness can run is not a hardcoded tuple: algorithms
 # self-register with repro.algorithms.registry and declare capabilities
 # (query phase, symmetry requirement, truncation support, ...) as data.
-# Scenario validation reads those capabilities.  The historic module
-# constants ALGORITHMS / SYMMETRIC_ALGORITHMS / QUERY_ALGORITHMS are kept
-# as registry-derived deprecated aliases via __getattr__ below.
-_DEPRECATED_CONSTANTS = ("ALGORITHMS", "SYMMETRIC_ALGORITHMS", "QUERY_ALGORITHMS")
-
-
-def __getattr__(name: str) -> Tuple[str, ...]:
-    if name in _DEPRECATED_CONSTANTS:
-        import warnings
-
-        from repro.algorithms import registry
-
-        warnings.warn(
-            f"repro.harness.scenario.{name} is deprecated; enumerate "
-            "repro.algorithms.registry (algorithm_names(), "
-            "symmetric_algorithm_names(), query_algorithm_names()) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name == "ALGORITHMS":
-            return tuple(registry.algorithm_names())
-        if name == "SYMMETRIC_ALGORITHMS":
-            return tuple(registry.symmetric_algorithm_names())
-        return tuple(registry.query_algorithm_names())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Scenario validation reads those capabilities.
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ class Tracer:
         self.events: List[Dict[str, Any]] = []
         self.dropped_events = 0
         self.pid = os.getpid()
+        self._thread_names: Dict[int, str] = {}
         self._max_events = max_events
         self._t0 = time.perf_counter_ns()
         if process_name:
@@ -85,7 +86,10 @@ class Tracer:
         self.events.append(event)
 
     def thread_name(self, tid: int, name: str) -> None:
-        """Name a thread track (e.g. one per pool worker pid)."""
+        """Name a thread track (e.g. one per pool worker pid); idempotent."""
+        if self._thread_names.get(tid) == name:
+            return
+        self._thread_names[tid] = name
         self._emit({"ph": "M", "name": "thread_name", "pid": self.pid,
                     "tid": tid, "args": {"name": name}})
 

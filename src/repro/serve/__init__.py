@@ -7,8 +7,8 @@ dependencies):
 * jobs are keyed by the result store's **spec-hash × version** identity, so
   a POST whose record is already cached returns immediately,
 * execution feeds the warm worker machinery through
-  :class:`~repro.harness.pool.DispatchPool` (per-span timeouts, crash
-  containment, respawn),
+  :class:`~repro.harness.pool.WorkerPool`, the dispatcher ``repro suite
+  run`` also uses (per-span timeouts, crash containment, respawn),
 * progress, pause and resume ride the snapshot subsystem: a job runs as a
   sequence of spans with a checkpoint at every boundary, through the same
   span task and checkpoint transport ``repro suite run --shard-increments``

@@ -1,7 +1,7 @@
 """The scenario service: admission, scheduling, span execution, metrics.
 
 :class:`ScenarioService` owns the long-lived pieces — result store, warm
-:class:`~repro.harness.pool.DispatchPool`, job registry, fair queue,
+:class:`~repro.harness.pool.WorkerPool`, job registry, fair queue,
 metrics registry — and runs ``jobs`` scheduler threads, each of which pops
 one job at a time (round-robin across clients) and drives it span by span
 through the pool:
@@ -18,6 +18,7 @@ through the pool:
   run because the merge is the sharded-suite merge;
 * per-span timeouts and crash containment come from the pool: an overdue
   or crashed span fails only its own job, and the worker is respawned.
+  It is the same pool and dispatcher ``repro suite run`` batches use.
 
 Determinism: the service composes existing runner primitives and never
 touches spec hashing or the schedule — the record a job stores is the one
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.arch.config import KERNELS
-from repro.harness.pool import DispatchPool
+from repro.harness.pool import WorkerPool
 from repro.harness.runner import (
     _merge_shard_parts, _span_tasks, _spill_path, plan_spans)
 from repro.harness.scenario import Scenario
@@ -86,7 +87,7 @@ class ScenarioService:
         self._store_lock = threading.Lock()
         self.registry = JobRegistry()
         self.queue = FairQueue()
-        self.pool = DispatchPool(config.jobs)
+        self.pool = WorkerPool(config.jobs)
         self.metrics = MetricsRegistry()
         self.started_monotonic = time.monotonic()
         with self.metrics.locked():

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -86,6 +88,62 @@ def pool2():
     pool.shutdown()
 
 
+# The two entry points of the one dispatcher.  The error, crash, timeout
+# and idle-death contract is checked through both.
+def _batch(pool, tasks, timeout=None):
+    """``repro suite run``'s path: one run_tasks batch."""
+    return pool.run_tasks(tasks, timeout=timeout)
+
+
+def _each(pool, tasks, timeout=None):
+    """``repro serve``'s path: one thread per task, each blocking in run()."""
+    with ThreadPoolExecutor(max_workers=len(tasks)) as threads:
+        return list(threads.map(
+            lambda task: pool.run(*task, timeout=timeout), tasks))
+
+
+def _check_task_error_is_contained(pool, execute):
+    results = execute(pool, [(_boom, ()), (_double, (5,))])
+    assert results[0].status == "error"
+    assert "task exploded" in results[0].error
+    assert results[1].ok and results[1].value == 10
+
+
+def _check_worker_crash_is_contained(pool, execute):
+    results = execute(pool, [(_die, ()), (_double, (3,))])
+    statuses = [r.status for r in results]
+    assert statuses[0] == "error" and statuses[1] == "ok"
+    # The pool replaced the dead worker and stays usable.
+    again = execute(pool, [(_double, (4,))])
+    assert again[0].value == 8 and pool.size == 2
+
+
+def _check_timeout_kills_only_the_overdue_task(pool, execute):
+    results = execute(
+        pool,
+        [(_sleep_then, (10.0, "slow")), (_double, (6,)), (_double, (7,))],
+        timeout=0.5,
+    )
+    assert results[0].status == "timeout"
+    assert results[1].value == 12 and results[2].value == 14
+    assert pool.size == 2  # replacement spawned
+    assert pool.respawns == 1
+
+
+def _check_worker_dying_while_idle_is_replaced(pool, execute):
+    import signal
+
+    execute(pool, [(_double, (1,))])
+    # Kill one worker between tasks (simulates an external OOM kill); the
+    # next dispatch must replace it instead of crashing on send.
+    victim_pid = pool.worker_pids()[0]
+    os.kill(victim_pid, signal.SIGKILL)
+    time.sleep(0.2)  # let the SIGKILL land; is_alive() reaps the zombie
+    results = execute(pool, [(_double, (i,)) for i in range(4)])
+    assert [r.value for r in results] == [0, 2, 4, 6]
+    assert pool.size == 2
+
+
 class TestWorkerPool:
     def test_results_in_submission_order(self, pool2):
         results = pool2.run_tasks([(_double, (i,)) for i in range(7)])
@@ -93,40 +151,89 @@ class TestWorkerPool:
         assert all(r.ok for r in results)
 
     def test_task_error_is_contained(self, pool2):
-        results = pool2.run_tasks([(_boom, ()), (_double, (5,))])
-        assert results[0].status == "error"
-        assert "task exploded" in results[0].error
-        assert results[1].ok and results[1].value == 10
+        _check_task_error_is_contained(pool2, _batch)
+
+    def test_task_error_is_contained_via_run(self, pool2):
+        _check_task_error_is_contained(pool2, _each)
 
     def test_worker_crash_is_contained_and_pool_recovers(self, pool2):
-        results = pool2.run_tasks([(_die, ()), (_double, (3,))])
-        statuses = [r.status for r in results]
-        assert statuses[0] == "error" and statuses[1] == "ok"
-        # The pool replaced the dead worker and stays usable.
-        again = pool2.run_tasks([(_double, (4,))])
-        assert again[0].value == 8 and pool2.size == 2
+        _check_worker_crash_is_contained(pool2, _batch)
+
+    def test_worker_crash_is_contained_via_run(self, pool2):
+        _check_worker_crash_is_contained(pool2, _each)
 
     def test_timeout_kills_only_the_overdue_task(self, pool2):
-        results = pool2.run_tasks(
-            [(_sleep_then, (10.0, "slow")), (_double, (6,)), (_double, (7,))],
-            timeout=0.5,
-        )
-        assert results[0].status == "timeout"
-        assert results[1].value == 12 and results[2].value == 14
-        assert pool2.size == 2  # replacement spawned
+        _check_timeout_kills_only_the_overdue_task(pool2, _batch)
+
+    def test_timeout_kills_only_the_overdue_task_via_run(self, pool2):
+        _check_timeout_kills_only_the_overdue_task(pool2, _each)
 
     def test_worker_dying_while_idle_is_replaced(self, pool2):
-        import signal
+        _check_worker_dying_while_idle_is_replaced(pool2, _batch)
 
-        pool2.run_tasks([(_double, (1,))])
-        # Kill one worker between batches (simulates an external OOM kill);
-        # the next batch must replace it instead of crashing on send.
-        victim_pid = pool2.worker_pids()[0]
-        os.kill(victim_pid, signal.SIGKILL)
-        time.sleep(0.2)  # let the SIGKILL land; is_alive() reaps the zombie
-        results = pool2.run_tasks([(_double, (i,)) for i in range(4)])
-        assert [r.value for r in results] == [0, 2, 4, 6]
-        assert pool2.size == 2
+    def test_worker_dying_while_idle_is_replaced_via_run(self, pool2):
+        _check_worker_dying_while_idle_is_replaced(pool2, _each)
+
+    def test_concurrent_run_from_four_threads(self, pool2):
+        def client(k):
+            return [pool2.run(_double, (100 * k + i,)).value
+                    for i in range(25)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave submitters aggressively
+        try:
+            with ThreadPoolExecutor(max_workers=4) as threads:
+                got = list(threads.map(client, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == [[2 * (100 * k + i) for i in range(25)]
+                       for k in range(4)]
+        assert pool2.respawns == 0
+
+    def test_observers_see_tasks_timeouts_and_respawns(self, pool2):
+        from repro.obs import MetricsRegistry, Tracer, validate_trace
+
+        pool2.tracer, pool2.metrics = Tracer(), MetricsRegistry()
+        pool2.run_tasks([(_sleep_then, (10.0, "slow")), (_double, (1,))],
+                        timeout=0.5)
+        events = pool2.tracer.events
+        assert validate_trace(pool2.tracer.to_dict()) == []
+        spans = sorted((e["args"]["task_id"], e["args"]["status"])
+                       for e in events if e["name"] == "pool_task")
+        assert spans == [(0, "timeout"), (1, "ok")]
+        names = [e["name"] for e in events]
+        assert names.count("task_timeout") == 1
+        assert names.count("worker_respawn") == 1
+        snap = pool2.metrics.snapshot()
+        assert snap["pool_respawns_total"]["series"][0]["value"] == 1
+        assert snap["pool_task_seconds"]["series"][0]["value"]["count"] == 2
+
+    def test_dispatcher_failure_fails_tasks_instead_of_hanging(
+            self, pool2, monkeypatch):
+        import repro.harness.pool as pool_module
+
+        def cannot_fork(ctx):
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(pool_module, "_Worker", cannot_fork)
+        # The crash needs a respawn, which fails: every task still resolves.
+        results = pool2.run_tasks(
+            [(_die, ()), (_sleep_then, (0.5, 1)), (_double, (2,))])
+        assert [r.status for r in results] == ["error"] * 3
+        assert "no more processes" in results[2].error
+        assert not pool2.alive and pool2.worker_pids() == []
+
+    def test_shutdown_fails_queued_tasks_and_finishes_in_flight(self):
+        pool = WorkerPool(1)
+        in_flight = pool.submit(_sleep_then, (1.0, "done"))
+        time.sleep(0.3)  # the dispatcher hands the task to the one worker
+        queued = pool.submit(_double, (1,))
+        pool.shutdown()
+        assert in_flight.result(timeout=0).value == "done"
+        assert queued.result(timeout=0).status == "error"
+        assert queued.result(timeout=0).error == "pool shut down before dispatch"
+        with pytest.raises(RuntimeError):
+            pool.submit(_double, (1,))
 
     def test_workers_persist_across_batches(self, pool2):
         pool2.run_tasks([(_double, (1,))])
